@@ -24,6 +24,9 @@ for every table as soon as M >= 2.
 Exhaustive verification walks every size-S row subset and, per color,
 bounds the worst column subset by the sum of the S largest per-column
 counts, which is exactly the maximum over all size-S column subsets.
+``_scan_blocks`` does this for ``btable`` and ``condense`` in blocks of
+lexicographic row subsets that double up to SCAN_BLOCK_ENTRIES counts.
+For M <= 2 the single-color bound holds unscanned: count <= S^2 <= 2S^2/M.
 """
 
 from __future__ import annotations
@@ -37,14 +40,16 @@ from typing import Iterable, Optional, Union
 import numpy as np
 from mpmath import mp, mpf
 
-from .errors import ParameterError, ResourceError
+from .errors import DecodeError, ParameterError, ResourceError
 
 # Budgets: logical subset-pair count for exhaustive verification, table
-# count for exhaustive search, and the largest n a table is materialized
-# densely for (2^(2n) cells).
+# count for exhaustive search, the largest n a table is materialized
+# densely for (2^(2n) cells), and the column counts a scan block holds
+# (128 KiB; a block has at least one row subset, whatever N * K is).
 DEFAULT_PAIR_BUDGET = 10**9
 DEFAULT_TABLE_BUDGET = 1 << 16
 DENSE_LIMIT_N = 12
+SCAN_BLOCK_ENTRIES = 1 << 16
 
 TABLE_MAGIC = b"KXTB"
 TABLE_VERSION = 1
@@ -105,16 +110,6 @@ class Table:
             and self.m == other.m
             and np.array_equal(self.cells, other.cells)
         )
-
-    @classmethod
-    def from_function(cls, n, m, fn, provenance="constructed(function)"):
-        N = 1 << n
-        cells = np.fromiter(
-            (fn(x, y) for x in range(N) for y in range(N)),
-            dtype=np.uint32,
-            count=N * N,
-        )
-        return cls(n, m, cells, provenance)
 
     @classmethod
     def constant(cls, n, m, color, provenance="constructed(constant)"):
@@ -185,27 +180,48 @@ def _check_budget(N: int, S: int, budget: Optional[int], what: str) -> None:
         )
 
 
-def _exhaustive_scan(colored, K, S, violates):
-    """First witness (B1, B2, color, count) with violates(count), else None.
+def _scan_blocks(grid: np.ndarray, K: int, S: int):
+    """Yield (subsets, tops) for all size-S row subsets, in blocks: subsets
+    (B, S) in lexicographic order, tops (B, K) each label's sum of its S
+    largest per-column counts over the subset's rows."""
+    N = grid.shape[0]
+    slots = grid.astype(np.intp) + np.arange(N) * K  # (x, y) -> y*K + label
+    rows = itertools.combinations(range(N), S)
+    size, largest = 1, max(1, SCAN_BLOCK_ENTRIES // (N * K))
+    while True:
+        block = itertools.chain.from_iterable(itertools.islice(rows, size))
+        subsets = np.fromiter(block, np.intp).reshape(-1, S)
+        if not len(subsets):
+            return
+        counts = np.zeros((len(subsets), N, K), dtype=np.uint16)
+        flat = counts.reshape(-1)
+        base = np.arange(len(subsets))[:, None] * (N * K)
+        for p in range(S):  # one row per subset, so no index repeats
+            flat[base + slots[subsets[:, p]]] += 1
+        top = np.partition(counts, N - S, axis=1)[:, N - S:, :]
+        yield subsets, top.sum(axis=1, dtype=np.int64)
+        size = min(2 * size, largest)
 
-    Deterministic: row subsets in lexicographic order, colors ascending.
-    """
-    N = colored.shape[0]
-    onehot = colored[:, :, None] == np.arange(K)[None, None, :]
-    for B1 in itertools.combinations(range(N), S):
-        colcounts = onehot[list(B1), :, :].sum(axis=0)  # (N cols, K)
-        part = np.sort(colcounts, axis=0)[::-1][:S, :].sum(axis=0)  # (K,)
-        for color in range(K):
-            count = int(part[color])
-            if violates(count):
-                cols = sorted(
-                    range(N), key=lambda y: (-int(colcounts[y, color]), y)
-                )[:S]
-                return B1, tuple(sorted(cols)), color, count
+
+def _top_columns(grid, B1, label, S: int) -> tuple:
+    """A worst column subset: the S columns richest in label on rows B1."""
+    counts = (grid[list(B1)] == label).sum(axis=0)
+    order = sorted(range(len(counts)), key=lambda y: (-int(counts[y]), y))
+    return tuple(sorted(order[:S]))
+
+
+def _first_violation(grid, K, S, most):
+    """First (B1, B2, label, count) with count > most in scan order, else None."""
+    for subsets, tops in _scan_blocks(grid, K, S):
+        hits = np.flatnonzero(tops > most)
+        if hits.size:
+            b, label = divmod(int(hits[0]), K)
+            B1 = tuple(subsets[b].tolist())
+            return B1, _top_columns(grid, B1, label, S), label, int(tops[b, label])
     return None
 
 
-def _sampled_scan(colored, K, S, violates, trials, seed):
+def _sampled_scan(colored, K, S, most, trials, seed):
     N = colored.shape[0]
     rng = np.random.default_rng(seed)
     for _ in range(trials):
@@ -215,19 +231,9 @@ def _sampled_scan(colored, K, S, violates, trials, seed):
             colored[np.ix_(B1, B2)].ravel(), minlength=K
         )
         for color in range(K):
-            if violates(int(counts[color])):
+            if int(counts[color]) > most:
                 return B1, B2, color, int(counts[color])
     return None
-
-
-def _shifted_pair_grid(cells: np.ndarray, i: int, j: int, M: int) -> np.ndarray:
-    """Combined color grid P(x, y) = T(x+i, y) * M + T(x+j, y), shifts mod N."""
-    N = cells.shape[0]
-    rows = np.arange(N)
-    return (
-        cells[(rows + i) % N, :].astype(np.int64) * M
-        + cells[(rows + j) % N, :].astype(np.int64)
-    )
 
 
 def verify_color_bound(
@@ -248,14 +254,12 @@ def verify_color_bound(
     S, N, M = spec.S, table.N, table.M
     if S > N:
         raise ParameterError(f"S={S} exceeds N={N}")
-    limit = 2 * S * S  # count * M <= 2 * S^2, exact integer comparison
-    violates = lambda count: count * M > limit
-    grid = table.cells.astype(np.int64)
+    most = 2 * S * S // M  # count * M <= 2 S^2, exact integers
     if mode == "exhaustive":
         _check_budget(N, S, budget, "single-color verification")
-        hit = _exhaustive_scan(grid, M, S, violates)
+        hit = None if M <= 2 else _first_violation(table.cells, M, S, most)
     elif mode == "sampled":
-        hit = _sampled_scan(grid, M, S, violates, trials, seed)
+        hit = _sampled_scan(table.cells, M, S, most, trials, seed)
     else:
         raise ParameterError(f"unknown mode {mode!r}")
     if hit is None:
@@ -283,26 +287,23 @@ def verify_shift_pair_bound(
         raise ParameterError(f"S={S} exceeds N={N}")
     if mode not in ("exhaustive", "sampled"):
         raise ParameterError(f"unknown mode {mode!r}")
-    limit = 2 * S * S  # count * M^2 <= 2 * S^2
-    violates = lambda count: count * M * M > limit
+    most = 2 * S * S // (M * M)  # count * M^2 <= 2 S^2, exact integers
     if mode == "exhaustive":
         _check_budget(N, S, budget, "shifted-pair verification")
-    for i in range(1, spec.shift_bound + 1):
-        for j in range(1, spec.shift_bound + 1):
-            if i == j:
-                continue
-            paired = _shifted_pair_grid(table.cells, i, j, M)
-            if mode == "exhaustive":
-                hit = _exhaustive_scan(paired, M * M, S, violates)
-            else:
-                hit = _sampled_scan(
-                    paired, M * M, S, violates, trials,
-                    None if seed is None else [seed, i, j],
-                )
-            if hit is not None:
-                B1, B2, pair_color, count = hit
-                a, b = pair_color // M, pair_color % M
-                return VerifyResult(False, (B1, B2, a, b, i, j), count)
+    shifted = lambda k: table.cells[(np.arange(N) + k) % N].astype(np.int64)
+    for i, j in itertools.permutations(range(1, spec.shift_bound + 1), 2):
+        paired = shifted(i) * M + shifted(j)  # label T(x+i, y) * M + T(x+j, y)
+        if mode == "exhaustive":
+            hit = _first_violation(paired, M * M, S, most)
+        else:
+            hit = _sampled_scan(
+                paired, M * M, S, most, trials,
+                None if seed is None else [seed, i, j],
+            )
+        if hit is not None:
+            B1, B2, pair_color, count = hit
+            a, b = pair_color // M, pair_color % M
+            return VerifyResult(False, (B1, B2, a, b, i, j), count)
     return VerifyResult(True)
 
 
@@ -588,6 +589,8 @@ def read_table(path) -> Table:
         data = fh.read()
     if data[:4] != TABLE_MAGIC:
         raise ParameterError(f"{path}: not a table file (bad magic)")
+    if len(data) < 7:
+        raise DecodeError(f"{path}: header truncated, {len(data)} of 7 bytes", len(data))
     if data[4] != TABLE_VERSION:
         raise ParameterError(f"{path}: unsupported version {data[4]}")
     n, m = data[5], data[6]

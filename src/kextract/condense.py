@@ -29,16 +29,12 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import stats
-from .btable import Table, _check_budget
+from .btable import Table, _ceil_log2, _check_budget, _scan_blocks, _top_columns
 from .errors import ParameterError, ResourceError
 from .gf2n import field_params, mul_bits
 
 DEFAULT_C = 2
 DEFAULT_GAMMA = 0.25
-
-
-def _ceil_log2(n: int) -> int:
-    return (n - 1).bit_length()
 
 
 @dataclass(frozen=True)
@@ -142,6 +138,9 @@ def verify_balance(
     """Check the A-colored cell bound on all rectangles with sides of
     size exactly ceil(2^(delta*n)); larger rectangles follow by the
     averaging argument.  Sampled mode checks random rectangles only.
+    Exhaustive mode runs the ``btable`` scan kernel on the A-indicator
+    grid; worst_ratio and the witness come from the first row subset,
+    lexicographically, that reaches the largest count.
     """
     N, M = table.N, table.M
     A = sorted(set(colors))
@@ -156,20 +155,14 @@ def verify_balance(
     bound = color_bound_fraction(len(A), M, delta, epsilon, c) * R * R
     indicator = np.isin(table.cells, np.array(A, dtype=np.uint32)).astype(np.int64)
 
-    worst = 0.0
-    witness = None
-    best_count = -1
+    best_count, best = 0, None
     if mode == "exhaustive":
         _check_budget(N, R, budget, "colored-balance verification")
-        for B1 in itertools.combinations(range(N), R):
-            colsums = indicator[list(B1), :].sum(axis=0)
-            order = sorted(range(N), key=lambda y: (-int(colsums[y]), y))
-            count = int(sum(colsums[y] for y in order[:R]))
-            if count > best_count:
-                best_count = count
-                worst = count / bound
-                if count > bound:
-                    witness = (B1, tuple(sorted(order[:R])))
+        for subsets, tops in _scan_blocks(indicator, 2, R):  # label 1 marks A
+            b = int(np.argmax(tops[:, 1]))
+            if tops[b, 1] > best_count:
+                best_count, B1 = int(tops[b, 1]), tuple(subsets[b].tolist())
+                best = B1, _top_columns(indicator, B1, 1, R)
     elif mode == "sampled":
         rng = np.random.default_rng(seed)
         for _ in range(trials):
@@ -177,13 +170,11 @@ def verify_balance(
             B2 = tuple(sorted(rng.choice(N, size=R, replace=False).tolist()))
             count = int(indicator[np.ix_(B1, B2)].sum())
             if count > best_count:
-                best_count = count
-                worst = count / bound
-                if count > bound:
-                    witness = (B1, B2)
+                best_count, best = count, (B1, B2)
     else:
         raise ParameterError(f"unknown mode {mode!r}")
-    return BalanceReport(witness is None, worst, witness)
+    witness = best if best_count > bound else None
+    return BalanceReport(witness is None, best_count / bound, witness)
 
 
 def standin_color(x: int, y: int, n: int, m: int) -> int:

@@ -181,3 +181,51 @@ def naive_balance(cells, colors, R, M, delta, epsilon, c):
             if count > bound:
                 ok = False
     return ok, worst_count / bound, worst_count
+
+
+# -- row-subset-at-a-time scans: references for the block scan kernel ------
+#
+# These are the library's earlier exhaustive scans, kept unchanged so the
+# block kernel can be held to the same witnesses, counts and ratios.
+
+
+def lex_exhaustive_scan(colored, K, S, violates):
+    """First witness (B1, B2, color, count) with violates(count), else None.
+
+    Deterministic: row subsets in lexicographic order, colors ascending.
+    """
+    N = colored.shape[0]
+    onehot = colored[:, :, None] == np.arange(K)[None, None, :]
+    for B1 in itertools.combinations(range(N), S):
+        colcounts = onehot[list(B1), :, :].sum(axis=0)  # (N cols, K)
+        part = np.sort(colcounts, axis=0)[::-1][:S, :].sum(axis=0)  # (K,)
+        for color in range(K):
+            count = int(part[color])
+            if violates(count):
+                cols = sorted(
+                    range(N), key=lambda y: (-int(colcounts[y, color]), y)
+                )[:S]
+                return B1, tuple(sorted(cols)), color, count
+    return None
+
+
+def lex_balance_scan(cells, colors, R, bound):
+    """(ok, worst_ratio, witness) of the colored-cell bound over R x R
+    rectangles, one row subset at a time in lexicographic order."""
+    cells = np.asarray(cells)
+    N = cells.shape[0]
+    indicator = np.isin(cells, np.array(sorted(set(colors)), dtype=cells.dtype))
+    indicator = indicator.astype(np.int64)
+    worst = 0.0
+    witness = None
+    best_count = -1
+    for B1 in itertools.combinations(range(N), R):
+        colsums = indicator[list(B1), :].sum(axis=0)
+        order = sorted(range(N), key=lambda y: (-int(colsums[y]), y))
+        count = int(sum(colsums[y] for y in order[:R]))
+        if count > best_count:
+            best_count = count
+            worst = count / bound
+            if count > bound:
+                witness = (B1, tuple(sorted(order[:R])))
+    return witness is None, worst, witness

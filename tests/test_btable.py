@@ -1,11 +1,15 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mpf
 
 import oracles
+from kextract import btable
 from kextract.btable import (
     BalanceSpec,
     SearchFailure,
@@ -23,7 +27,7 @@ from kextract.btable import (
     verify_table,
     write_table,
 )
-from kextract.errors import ParameterError, ResourceError
+from kextract.errors import DecodeError, ParameterError, ResourceError
 
 SPEC34 = BalanceSpec(S=4, shift_bound=2)
 
@@ -184,6 +188,68 @@ class TestVerify:
         t = search_table(3, 1, SPEC34, "random", trials=2000, seed=2026)
         r = verify_color_bound(t, SPEC34, "sampled", trials=50, seed=9)
         assert r.ok
+
+
+class TestScanKernel:
+    """The block kernel against the row-subset-at-a-time reference scan.
+
+    N = 16 with S in 4..8 gives 1820-12870 row subsets, tens of blocks.
+    """
+
+    @settings(max_examples=20)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        K=st.sampled_from([2, 4, 16]),
+        S=st.integers(4, 8),
+        data=st.data(),
+    )
+    def test_same_first_witness_as_reference(self, seed, K, S, data):
+        grid = np.random.default_rng(seed).integers(0, K, size=(16, 16))
+        # a threshold just under the grid's largest count puts the first
+        # violation deep in the scan; at the largest count the scan passes
+        peak = max(int(t.max()) for _, t in btable._scan_blocks(grid, K, S))
+        most = peak - data.draw(st.integers(0, 3), label="below_peak")
+        got = btable._first_violation(grid, K, S, most)
+        want = oracles.lex_exhaustive_scan(grid, K, S, lambda c: c > most)
+        assert got == want
+
+    @pytest.mark.parametrize("K,S", [(2, 8), (4, 6), (16, 4)])
+    def test_violation_in_last_subset(self, K, S):
+        # only the last S rows hold an all-one-label S x S rectangle
+        grid = np.random.default_rng(K).integers(0, K, size=(16, 16))
+        grid[16 - S:, 3:3 + S] = K - 1
+        got = btable._first_violation(grid, K, S, S * S - 1)
+        assert got == oracles.lex_exhaustive_scan(
+            grid, K, S, lambda c: c > S * S - 1
+        )
+        assert got[0] == tuple(range(16 - S, 16)) and got[2:] == (K - 1, S * S)
+
+    @pytest.mark.parametrize("S", range(1, 9))
+    def test_two_colors_certified_without_scan(self, S):
+        # M = 2: no rectangle can exceed 2/M of its cells
+        for seed in range(3):
+            t = random_table(3, 1, 100 + seed)
+            r = verify_color_bound(t, BalanceSpec(S, 1))
+            assert r.ok
+            assert oracles.naive_color_verdict(t.cells.tolist(), S, 2)[0]
+
+    def test_memory_bounded_for_many_labels(self):
+        # n=6, m=8: M^2 = 65536 pair labels; one (N, N, M^2) one-hot array
+        # alone would take 256 MiB
+        t = random_table(6, 8, 11)
+        spec = BalanceSpec(S=1, shift_bound=2)
+        tracemalloc.start()
+        try:
+            r = verify_shift_pair_bound(t, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert not r.ok
+        B1, B2, a, b, i, j = r.witness
+        count = oracles.shift_pair_count(t.cells.tolist(), B1, B2, a, b, i, j)
+        assert count == r.count
+        assert count * t.M**2 > 2 * spec.S**2
 
 
 class TestSearch:
@@ -402,6 +468,14 @@ class TestFileFormat:
         path.write_bytes(b"KXTB\x01\x02\x01")
         with pytest.raises(ParameterError):
             read_table(path)
+
+    @pytest.mark.parametrize("header", [b"KXTB", b"KXTB\x01\x02"])
+    def test_truncated_header_is_decode_error(self, tmp_path, header):
+        path = tmp_path / "short.ktb"
+        path.write_bytes(header)
+        with pytest.raises(DecodeError) as info:
+            read_table(path)
+        assert info.value.position == len(header)
 
     def test_missing_provenance_sidecar(self, tmp_path):
         t = Table.constant(1, 1, 0)

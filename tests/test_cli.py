@@ -111,6 +111,16 @@ class TestTableCommands:
         assert out.startswith("VIOLATION condition=single-color")
         assert "B1=" in out and "a=" in out
 
+    def test_verify_truncated_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "short.ktb"
+        path.write_bytes(b"KXTB")
+        code, out, err = run(
+            capsys, "table", "verify", "--table", str(path), "--S", "1",
+            "--shift-bound", "1",
+        )
+        assert code == 2 and out == ""
+        assert "truncated" in err and "position 4" in err
+
     def test_apply_single_output(self, capsys, n4_table):
         path, t = n4_table
         code, out, _ = run(

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from kextract import stats
@@ -121,6 +123,32 @@ class TestVerifyBalance:
     def test_budget(self):
         with pytest.raises(ResourceError):
             verify_balance(random_table(3, 1, 0), 2 / 3, 0.5, 1, [0], budget=3)
+
+    @settings(max_examples=15)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size_A=st.integers(1, 3),
+        density=st.sampled_from([0.3, 0.5, 0.7]),
+        delta=st.sampled_from([0.5, 0.6, 0.7, 0.75]),
+        epsilon=st.sampled_from([0.25, 0.5]),
+    )
+    def test_same_report_as_row_subset_loop(
+        self, seed, size_A, density, delta, epsilon
+    ):
+        # N = 16 and R in {4, 6, 7, 8}: 1820-12870 row subsets; A-colored
+        # cells at the given density make both passing and failing tables
+        rng = np.random.default_rng(seed)
+        in_A = rng.random((16, 16)) < density
+        cells = np.where(
+            in_A, rng.integers(0, size_A, (16, 16)), rng.integers(size_A, 4, (16, 16))
+        )
+        t = Table(4, 2, cells.astype(np.uint32))
+        A = list(range(size_A))
+        R = math.ceil(2.0 ** (delta * 4))
+        bound = color_bound_fraction(size_A, 4, delta, epsilon, 1) * R * R
+        rep = verify_balance(t, delta, epsilon, 1, A)
+        want = oracles.lex_balance_scan(t.cells, A, R, bound)
+        assert (rep.ok, rep.worst_ratio, rep.witness) == want
 
     def test_bound_monotone_in_color_set_size(self):
         values = [
