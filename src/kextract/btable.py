@@ -26,6 +26,7 @@ bounds the worst column subset by the sum of the S largest per-column
 counts, which is exactly the maximum over all size-S column subsets.
 ``_scan_blocks`` does this for ``btable`` and ``condense`` in blocks of
 lexicographic row subsets that double up to SCAN_BLOCK_ENTRIES counts.
+Sampled verification of both draws its rectangles from ``_sampled_rects``.
 For M <= 2 the single-color bound holds unscanned: count <= S^2 <= 2S^2/M.
 """
 
@@ -46,10 +47,13 @@ from .errors import DecodeError, ParameterError, ResourceError
 # count for exhaustive search, the largest n a table is materialized
 # densely for (2^(2n) cells), and the column counts a scan block holds
 # (128 KiB; a block has at least one row subset, whatever N * K is).
+# Colors are uint32 cells, and m <= MAX_M keeps pair labels a*M + b
+# within int64.
 DEFAULT_PAIR_BUDGET = 10**9
 DEFAULT_TABLE_BUDGET = 1 << 16
 DENSE_LIMIT_N = 12
 SCAN_BLOCK_ENTRIES = 1 << 16
+MAX_M = 31
 
 TABLE_MAGIC = b"KXTB"
 TABLE_VERSION = 1
@@ -75,8 +79,8 @@ class Table:
             raise ResourceError(
                 f"n={self.n} exceeds the dense-table limit n <= {DENSE_LIMIT_N}"
             )
-        if self.m < 1:
-            raise ParameterError(f"table needs m >= 1, got {self.m}")
+        if not 1 <= self.m <= MAX_M:
+            raise ParameterError(f"table needs 1 <= m <= {MAX_M}, got {self.m}")
         N = 1 << self.n
         cells = np.ascontiguousarray(self.cells, dtype=np.uint32)
         if cells.shape == (N * N,):
@@ -221,18 +225,25 @@ def _first_violation(grid, K, S, most):
     return None
 
 
-def _sampled_scan(colored, K, S, most, trials, seed):
-    N = colored.shape[0]
+def _sampled_rects(grid: np.ndarray, K: int, S: int, trials: int, seed):
+    """Yield (B1, B2, counts) for ``trials`` random S x S rectangles: B1 then
+    B2 drawn as sorted S-subsets of range(N), counts (K,) the cells of each
+    label in B1 x B2."""
+    N = grid.shape[0]
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         B1 = tuple(sorted(rng.choice(N, size=S, replace=False).tolist()))
         B2 = tuple(sorted(rng.choice(N, size=S, replace=False).tolist()))
-        counts = np.bincount(
-            colored[np.ix_(B1, B2)].ravel(), minlength=K
-        )
-        for color in range(K):
-            if int(counts[color]) > most:
-                return B1, B2, color, int(counts[color])
+        yield B1, B2, np.bincount(grid[np.ix_(B1, B2)].ravel(), minlength=K)
+
+
+def _first_sampled_violation(grid, K, S, most, trials, seed):
+    """First (B1, B2, label, count) with count > most among the sampled
+    rectangles, lowest label first, else None."""
+    for B1, B2, counts in _sampled_rects(grid, K, S, trials, seed):
+        hits = np.flatnonzero(counts > most)
+        if hits.size:
+            return B1, B2, int(hits[0]), int(counts[hits[0]])
     return None
 
 
@@ -259,7 +270,7 @@ def verify_color_bound(
         _check_budget(N, S, budget, "single-color verification")
         hit = None if M <= 2 else _first_violation(table.cells, M, S, most)
     elif mode == "sampled":
-        hit = _sampled_scan(table.cells, M, S, most, trials, seed)
+        hit = _first_sampled_violation(table.cells, M, S, most, trials, seed)
     else:
         raise ParameterError(f"unknown mode {mode!r}")
     if hit is None:
@@ -296,7 +307,7 @@ def verify_shift_pair_bound(
         if mode == "exhaustive":
             hit = _first_violation(paired, M * M, S, most)
         else:
-            hit = _sampled_scan(
+            hit = _first_sampled_violation(
                 paired, M * M, S, most, trials,
                 None if seed is None else [seed, i, j],
             )
@@ -532,7 +543,8 @@ def failure_prob_bounds(N: int, M: int, S: int, n: int, k: int):
 #
 # Bit-exact layout: magic "KXTB", version byte 0x01, n and m as unsigned
 # 8-bit ints, then ceil(2^(2n) * m / 8) bytes of colors packed row-major,
-# least-significant bit first within each byte.
+# least-significant bit first within each byte, with zero padding bits.
+# Readers accept 1 <= n <= DENSE_LIMIT_N and 1 <= m <= MAX_M.
 
 
 def _pack_cells(cells_flat: Iterable[int], m: int, count: int) -> bytes:
@@ -596,12 +608,18 @@ def read_table(path) -> Table:
     n, m = data[5], data[6]
     if n < 1 or m < 1:
         raise ParameterError(f"{path}: invalid header n={n}, m={m}")
+    if n > DENSE_LIMIT_N:
+        raise DecodeError(f"{path}: n={n} exceeds the dense limit {DENSE_LIMIT_N}", 5)
+    if m > MAX_M:
+        raise DecodeError(f"{path}: m={m} exceeds the color limit {MAX_M}", 6)
     count = (1 << n) * (1 << n)
     expected = 7 + (count * m + 7) // 8
     if len(data) != expected:
         raise ParameterError(
             f"{path}: expected {expected} bytes for n={n}, m={m}, got {len(data)}"
         )
+    if data[-1] >> (count * m % 8 or 8):  # bits past the last cell
+        raise DecodeError(f"{path}: nonzero padding bits", len(data) - 1)
     cells = _unpack_cells(data[7:], m, count)
     return Table(n, m, cells, f"loaded({path})")
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import secrets
 import sys
 
@@ -27,16 +28,14 @@ from .errors import (
     ParameterError,
     ResourceError,
 )
-from .gf2n import field_params
+from .gf2n import field_params, mul_bits
 
 
 def _parse_hex(text: str, what: str) -> tuple[int, int]:
     """(value, bit length) from lowercase hex."""
-    try:
-        value = int(text, 16)
-    except ValueError:
-        raise ParameterError(f"{what}: {text!r} is not hex") from None
-    return value, 4 * len(text)
+    if not re.fullmatch("[0-9a-f]+", text):
+        raise ParameterError(f"{what}: {text!r} is not lowercase hex")
+    return int(text, 16), 4 * len(text)
 
 
 def _read_bits_file(path: str, bits: int) -> int:
@@ -59,7 +58,8 @@ def _int_list(text: str, what: str) -> list[int]:
         raise ParameterError(f"{what}: {text!r} is not a comma-separated int list") from None
 
 
-def _budget(args) -> int | None:
+def _budget(args, default: int | None = None) -> int | None:
+    """--budget, else KEXTRACT_BUDGET, else ``default``."""
     if getattr(args, "budget", None) is not None:
         return args.budget
     env = os.environ.get("KEXTRACT_BUDGET")
@@ -68,7 +68,7 @@ def _budget(args) -> int | None:
             return int(env)
         except ValueError:
             raise ParameterError(f"KEXTRACT_BUDGET={env!r} is not an integer") from None
-    return None
+    return default
 
 
 def _seed(args) -> int:
@@ -282,41 +282,39 @@ def _cmd_estimate_symmetry(args) -> int:
 
 
 def _cmd_dist_push(args) -> int:
+    budget = _budget(args, stats.DEFAULT_ENUM_BUDGET)
     if args.map == "table":
         if args.table is None:
             raise ParameterError("--map table needs --table")
         table = btable.read_table(args.table)
         dist = stats.pushforward(
-            lambda x, y: int(table.cells[x, y]), table.n, table.m,
-            budget=_budget(args) or stats.DEFAULT_ENUM_BUDGET,
+            lambda x, y: int(table.cells[x, y]), table.n, table.m, budget=budget
         )
     else:
         if args.n is None:
             raise ParameterError(f"--map {args.map} needs --n")
         n = args.n
         params = field_params(n)
-        budget = _budget(args) or stats.DEFAULT_ENUM_BUDGET
         if args.map == "xor":
             dist = stats.pushforward(lambda x, y: x ^ y, n, n, budget=budget)
         elif args.map == "extend":
             if args.i is None:
                 raise ParameterError("--map extend needs --i")
             i = args.i
-
-            def one(x1, x2, _i=i, _p=params):
-                req = extend.ExtendRequest(x1, x2, _i, _p)
-                return extend.extend(req).outputs[_i - 1]
-
-            dist = stats.pushforward(one, n, n, budget=budget)
+            extend.ExtendRequest(0, 0, i, params)  # range-checks i as `extend` does
+            dist = stats.pushforward(
+                lambda x1, x2: x1 ^ mul_bits(i, x2, params), n, n, budget=budget
+            )
         elif args.map == "extend-pair":
             if args.i is None or args.j is None:
                 raise ParameterError("--map extend-pair needs --i and --j")
             i, j = args.i, args.j
-            hi = max(i, j)
+            for index in (i, j):
+                extend.ExtendRequest(0, 0, index, params)
 
-            def pair(x1, x2, _i=i, _j=j, _hi=hi, _p=params, _n=n):
-                outs = extend.extend(extend.ExtendRequest(x1, x2, _hi, _p)).outputs
-                return (outs[_i - 1] << _n) | outs[_j - 1]
+            def pair(x1, x2):
+                zi, zj = (x1 ^ mul_bits(e, x2, params) for e in (i, j))
+                return zi << n | zj
 
             dist = stats.pushforward(pair, n, 2 * n, budget=budget)
         else:

@@ -10,8 +10,8 @@ and every color subset A, the A-colored cell count is at most
 ``verify_balance`` measures that property exactly at desk scale.  A
 real condenser construction is out of scope here; ``standin_table``
 provides a deterministic concrete table (field multiplication truncated
-to m bits) whose conformance is measured, not assumed, which keeps the
-verifier's negative paths exercisable.
+to m bits, built from ``gf2n.mul_bits``) whose conformance is measured,
+not assumed, which keeps the verifier's negative paths exercisable.
 
 The constant c and the output-rate constant gamma (m = gamma*delta*n)
 are configuration inputs with defaults c=2, gamma=1/4; no concrete
@@ -29,8 +29,9 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import stats
-from .btable import Table, _ceil_log2, _check_budget, _scan_blocks, _top_columns
-from .errors import ParameterError, ResourceError
+from .btable import DENSE_LIMIT_N, Table, _ceil_log2, _check_budget
+from .btable import _sampled_rects, _scan_blocks, _top_columns
+from .errors import ParameterError
 from .gf2n import field_params, mul_bits
 
 DEFAULT_C = 2
@@ -119,7 +120,10 @@ def color_bound_fraction(
 
     Monotone nondecreasing in |A|, directly from the formula.
     """
-    factor = 2.0 ** ((delta * math.log2(1.0 / epsilon)) ** c)
+    try:
+        factor = 2.0 ** ((delta * math.log2(1.0 / epsilon)) ** c)
+    except OverflowError:  # past float range, so above every rectangle's size
+        return math.inf if n_colors_in_A else epsilon
     return n_colors_in_A / M * factor + epsilon
 
 
@@ -137,10 +141,11 @@ def verify_balance(
 ) -> BalanceReport:
     """Check the A-colored cell bound on all rectangles with sides of
     size exactly ceil(2^(delta*n)); larger rectangles follow by the
-    averaging argument.  Sampled mode checks random rectangles only.
-    Exhaustive mode runs the ``btable`` scan kernel on the A-indicator
-    grid; worst_ratio and the witness come from the first row subset,
-    lexicographically, that reaches the largest count.
+    averaging argument.  Both modes run a ``btable`` kernel on the
+    A-indicator grid: exhaustive mode the block scan, where worst_ratio
+    and the witness come from the first row subset, lexicographically,
+    that reaches the largest count; sampled mode the rectangle sampler,
+    where they come from the first sampled rectangle that reaches it.
     """
     N, M = table.N, table.M
     A = sorted(set(colors))
@@ -164,13 +169,9 @@ def verify_balance(
                 best_count, B1 = int(tops[b, 1]), tuple(subsets[b].tolist())
                 best = B1, _top_columns(indicator, B1, 1, R)
     elif mode == "sampled":
-        rng = np.random.default_rng(seed)
-        for _ in range(trials):
-            B1 = tuple(sorted(rng.choice(N, size=R, replace=False).tolist()))
-            B2 = tuple(sorted(rng.choice(N, size=R, replace=False).tolist()))
-            count = int(indicator[np.ix_(B1, B2)].sum())
-            if count > best_count:
-                best_count, best = count, (B1, B2)
+        for B1, B2, counts in _sampled_rects(indicator, 2, R, trials, seed):
+            if counts[1] > best_count:
+                best_count, best = int(counts[1]), (B1, B2)
     else:
         raise ParameterError(f"unknown mode {mode!r}")
     witness = best if best_count > bound else None
@@ -205,38 +206,31 @@ class FnTable:
         return self.fn(x, y)
 
 
-def standin_table(n: int, m: int, dense: Optional[bool] = None):
+def standin_table(n: int, m: int):
     """Deterministic stand-in condenser table: truncated field products.
 
-    Dense tables materialize all 2^(2n) cells (n <= 12); pass
-    dense=False (automatic for larger n) to get a function-backed table
-    usable by ``apply_condenser`` at any n up to 64.
+    For n <= DENSE_LIMIT_N the table holds all 2^(2n) cells; above it a
+    function-backed table serves ``apply_condenser`` at any n up to 64.
     """
     if not 1 <= m <= n:
         raise ParameterError(f"need 1 <= m <= n, got m={m}, n={n}")
-    if dense is None:
-        dense = n <= 12
     provenance = "constructed(gf2n-mul-truncated)"
-    if not dense:
+    if n > DENSE_LIMIT_N:
         return FnTable(n, m, lambda x, y: standin_color(x, y, n, m), provenance)
-    if n > 12:
-        raise ResourceError(f"dense stand-in table needs n <= 12, got {n}")
     params = field_params(n)
     N = 1 << n
-    mask = (1 << m) - 1
-    cells = np.empty((N, N), dtype=np.uint32)
-    cols = np.arange(N, dtype=np.int64)
-    for x in range(N):
-        # vectorized shift-and-XOR product of the scalar row value with
-        # every column value
-        acc = np.zeros(N, dtype=np.int64)
-        a = x
-        for bit in range(n):
-            acc ^= np.where((cols >> bit) & 1, a, 0)
-            a <<= 1
-            if a >> n:
-                a ^= params.modulus
-        cells[x, :] = acc & mask
+    cells = np.zeros((N, N), dtype=np.uint32)
+    # x*y is GF(2)-bilinear, so row 2^a follows from the basis products
+    # 2^a * 2^b by doubling over columns, and row 2^a + k (k < 2^a) is
+    # row 2^a XOR row k
+    for a in range(n):
+        row = 1 << a
+        for b in range(n):
+            col = 1 << b
+            p = mul_bits(row, col, params)
+            np.bitwise_xor(cells[row, :col], p, out=cells[row, col:2 * col])
+        np.bitwise_xor(cells[1:row], cells[row], out=cells[row + 1:2 * row])
+    cells &= (1 << m) - 1
     return Table(n, m, cells, provenance)
 
 

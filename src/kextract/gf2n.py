@@ -19,9 +19,10 @@ Custom moduli are accepted for n <= 32 and are checked irreducible by
 trial division against every polynomial of degree 1..n/2; for n > 32
 only the built-in table entry is accepted.
 
-Multiplication is shift-and-XOR with interleaved reduction; inversion
-is the extended Euclidean algorithm on polynomials.  All values are
-immutable and all operations are pure, so everything here is safe for
+Elements are plain ints: addition is ``^``, ``mul_bits`` multiplies by
+shift-and-XOR with interleaved reduction, and ``inverse_bits`` runs the
+extended Euclidean algorithm on polynomials.  Callers keep operands
+below 2^n.  All operations are pure, so everything here is safe for
 unrestricted concurrent use.
 """
 
@@ -117,37 +118,6 @@ def field_params(n: int) -> FieldParams:
     return FieldParams(n, _LEAST_IRREDUCIBLE[n])
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """An n-bit string viewed as an element of GF(2^n)."""
-
-    bits: int
-    params: FieldParams
-
-    def __post_init__(self):
-        if not 0 <= self.bits < self.params.order:
-            raise ParameterError(
-                f"element {self.bits:#x} does not fit in {self.params.n} bits"
-            )
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        return add(self, other)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        return mul(self, other)
-
-
-def _require_same_params(a: FieldElement, b: FieldElement) -> None:
-    if a.params != b.params:
-        raise ParameterError("operands belong to different fields")
-
-
-def add(a: FieldElement, b: FieldElement) -> FieldElement:
-    """Field addition: bitwise XOR."""
-    _require_same_params(a, b)
-    return FieldElement(a.bits ^ b.bits, a.params)
-
-
 def mul_bits(a: int, b: int, params: FieldParams) -> int:
     """Field product of two raw n-bit values (int level)."""
     top = 1 << params.n
@@ -161,12 +131,6 @@ def mul_bits(a: int, b: int, params: FieldParams) -> int:
         if a & top:
             a ^= modulus
     return r
-
-
-def mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    """Field multiplication: carry-less product reduced by the modulus."""
-    _require_same_params(a, b)
-    return FieldElement(mul_bits(a.bits, b.bits, a.params), a.params)
 
 
 def inverse_bits(a: int, params: FieldParams) -> int:
@@ -185,22 +149,3 @@ def inverse_bits(a: int, params: FieldParams) -> int:
         t0 ^= t1 << shift
     # r0 is now gcd(modulus, a) = 1, so t0 * a = 1 (mod modulus).
     return _poly_mod(t0, params.modulus)
-
-
-def inverse(a: FieldElement) -> FieldElement:
-    """Multiplicative inverse; rejects the zero element."""
-    return FieldElement(inverse_bits(a.bits, a.params), a.params)
-
-
-def nth_nonzero(i: int, params: FieldParams) -> FieldElement:
-    """The i-th nonzero element, 1-based, in numeric order of bit strings.
-
-    Numeric order makes index 1 the multiplicative identity, so a
-    construction whose first coefficient is nth_nonzero(1) degenerates
-    to plain XOR there.
-    """
-    if not 1 <= i <= params.order - 1:
-        raise ParameterError(
-            f"nonzero-element index {i} out of range 1..{params.order - 1}"
-        )
-    return FieldElement(i, params)

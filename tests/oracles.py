@@ -229,3 +229,42 @@ def lex_balance_scan(cells, colors, R, bound):
             if count > bound:
                 witness = (B1, tuple(sorted(order[:R])))
     return witness is None, worst, witness
+
+
+# -- one-rectangle-at-a-time samplers: references for _sampled_rects -------
+#
+# The library's earlier sampled checks, kept unchanged so the shared
+# rectangle sampler can be held to the same rectangles, witnesses and counts.
+
+
+def sampled_scan(colored, K, S, most, trials, seed):
+    """First sampled (B1, B2, color, count) with count > most, else None."""
+    N = colored.shape[0]
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        B1 = tuple(sorted(rng.choice(N, size=S, replace=False).tolist()))
+        B2 = tuple(sorted(rng.choice(N, size=S, replace=False).tolist()))
+        counts = np.bincount(colored[np.ix_(B1, B2)].ravel(), minlength=K)
+        for color in range(K):
+            if int(counts[color]) > most:
+                return B1, B2, color, int(counts[color])
+    return None
+
+
+def sampled_balance(cells, colors, R, bound, trials, seed):
+    """(ok, worst_ratio, witness) of the colored-cell bound over sampled
+    R x R rectangles; the witness is the first one at the largest count."""
+    cells = np.asarray(cells)
+    N = cells.shape[0]
+    indicator = np.isin(cells, np.array(sorted(set(colors)), dtype=cells.dtype))
+    indicator = indicator.astype(np.int64)
+    rng = np.random.default_rng(seed)
+    best_count, best = 0, None
+    for _ in range(trials):
+        B1 = tuple(sorted(rng.choice(N, size=R, replace=False).tolist()))
+        B2 = tuple(sorted(rng.choice(N, size=R, replace=False).tolist()))
+        count = int(indicator[np.ix_(B1, B2)].sum())
+        if count > best_count:
+            best_count, best = count, (B1, B2)
+    witness = best if best_count > bound else None
+    return witness is None, best_count / bound, witness

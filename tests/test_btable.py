@@ -15,6 +15,7 @@ from kextract.btable import (
     SearchFailure,
     Table,
     TableSchedule,
+    VerifyResult,
     apply_table,
     check_existence_bound,
     derive_table_schedule,
@@ -52,6 +53,11 @@ class TestTableType:
     def test_rejects_oversized_n(self):
         with pytest.raises(ResourceError):
             Table(13, 1, np.zeros(2, dtype=np.uint32))
+
+    def test_rejects_colors_wider_than_uint32_pairs(self):
+        with pytest.raises(ParameterError):
+            Table(1, 32, np.zeros(4, dtype=np.uint32))
+        assert Table(1, 31, np.full(4, 2**31 - 1, dtype=np.uint32)).M == 2**31
 
     def test_cells_are_frozen(self):
         t = Table.constant(2, 1, 0)
@@ -232,6 +238,48 @@ class TestScanKernel:
             r = verify_color_bound(t, BalanceSpec(S, 1))
             assert r.ok
             assert oracles.naive_color_verdict(t.cells.tolist(), S, 2)[0]
+
+    @settings(max_examples=20)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        K=st.sampled_from([2, 4, 16]),
+        S=st.integers(1, 8),
+        data=st.data(),
+    )
+    def test_sampled_same_first_witness_as_reference(self, seed, K, S, data):
+        grid = np.random.default_rng(seed).integers(0, K, size=(16, 16))
+        rects = btable._sampled_rects(grid, K, S, 40, seed)
+        peak = max(int(counts.max()) for *_, counts in rects)
+        most = peak - data.draw(st.integers(0, 3), label="below_peak")
+        got = btable._first_sampled_violation(grid, K, S, most, 40, seed)
+        assert got == oracles.sampled_scan(grid, K, S, most, 40, seed)
+
+    @settings(max_examples=20)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 3),
+        S=st.integers(1, 5),
+        shift_bound=st.integers(1, 3),
+    )
+    def test_sampled_verifiers_match_reference(self, seed, m, S, shift_bound):
+        t = random_table(3, m, seed)
+        spec = BalanceSpec(S, shift_bound)
+        M, rows = t.M, np.arange(t.N)
+        hit = oracles.sampled_scan(t.cells, M, S, 2 * S * S // M, 40, seed)
+        want = VerifyResult(hit is None, hit and hit[:3], hit and hit[3])
+        assert verify_color_bound(t, spec, "sampled", trials=40, seed=seed) == want
+        want = VerifyResult(True)
+        for i, j in itertools.permutations(range(1, shift_bound + 1), 2):
+            shifted = [t.cells[(rows + k) % t.N].astype(np.int64) for k in (i, j)]
+            hit = oracles.sampled_scan(
+                shifted[0] * M + shifted[1], M * M, S, 2 * S * S // (M * M), 40,
+                [seed, i, j],
+            )
+            if hit is not None:
+                B1, B2, label, count = hit
+                want = VerifyResult(False, (B1, B2, label // M, label % M, i, j), count)
+                break
+        assert verify_shift_pair_bound(t, spec, "sampled", trials=40, seed=seed) == want
 
     def test_memory_bounded_for_many_labels(self):
         # n=6, m=8: M^2 = 65536 pair labels; one (N, N, M^2) one-hot array
@@ -476,6 +524,31 @@ class TestFileFormat:
         with pytest.raises(DecodeError) as info:
             read_table(path)
         assert info.value.position == len(header)
+
+    @pytest.mark.parametrize(
+        "data,position",
+        [
+            (b"KXTB\x01\x01\x28" + bytes(20), 6),  # m=40: cells are uint32
+            (b"KXTB\x01\x01\x28" + b"\xff" * 20, 6),
+            (b"KXTB\x01\x0d\x01", 5),  # n=13, above DENSE_LIMIT_N
+            (b"KXTB\x01\x01\x01\xf0", 7),  # 4 cells of 1 bit, 4 padding bits set
+            (b"KXTB\x01\x01\x03\x00\x80", 8),
+        ],
+    )
+    def test_strict_header_is_decode_error(self, tmp_path, data, position):
+        path = tmp_path / "bad.ktb"
+        path.write_bytes(data)
+        with pytest.raises(DecodeError) as info:
+            read_table(path)
+        assert info.value.position == position
+
+    def test_zero_padding_and_widest_colors_read_back(self, tmp_path):
+        path = tmp_path / "ok.ktb"
+        path.write_bytes(b"KXTB\x01\x01\x01\x0f")
+        assert read_table(path) == Table.constant(1, 1, 1)
+        t = random_table(1, 31, 3)
+        write_table(t, path)
+        assert read_table(path) == t
 
     def test_missing_provenance_sidecar(self, tmp_path):
         t = Table.constant(1, 1, 0)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from kextract import btable, condense
+from kextract import btable, condense, extend, stats
 from kextract.cli import main
+from kextract.gf2n import field_params
 
 
 def run(capsys, *argv):
@@ -44,6 +45,11 @@ class TestExtendCommand:
     def test_bad_hex_exits_2(self, capsys):
         code, _, err = run(capsys, "extend", "zz", "03", "--count", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("x1", ["0x05", "0_5", "+3", " 5", "A", ""])
+    def test_only_lowercase_hex_digits_accepted(self, capsys, x1):
+        code, out, err = run(capsys, "extend", x1, "03", "--count", "1")
+        assert code == 2 and out == "" and "hex" in err
 
     def test_count_and_k_exclusive(self, capsys):
         code, _, _ = run(capsys, "extend", "05", "03", "--count", "1", "--k", "1")
@@ -120,6 +126,24 @@ class TestTableCommands:
         )
         assert code == 2 and out == ""
         assert "truncated" in err and "position 4" in err
+
+    @pytest.mark.parametrize(
+        "data,position",
+        [
+            (b"KXTB\x01\x01\x28" + bytes(20), 6),
+            (b"KXTB\x01\x01\x28" + b"\xff" * 20, 6),
+            (b"KXTB\x01\x0d\x01", 5),
+            (b"KXTB\x01\x01\x01\xf0", 7),
+        ],
+    )
+    def test_verify_strict_header_exits_2(self, capsys, tmp_path, data, position):
+        path = tmp_path / "bad.ktb"
+        path.write_bytes(data)
+        code, out, err = run(
+            capsys, "table", "verify", "--table", str(path), "--S", "1",
+            "--shift-bound", "1",
+        )
+        assert code == 2 and out == "" and f"position {position}" in err
 
     def test_apply_single_output(self, capsys, n4_table):
         path, t = n4_table
@@ -214,6 +238,14 @@ class TestCondenseCommands:
             "0.34", "--epsilon", "0.5", "--c", "1", "--colors", "2",
         )
         assert code == 1 and out.startswith("VIOLATION")
+
+    def test_verify_bound_past_float_range_is_ok(self, capsys, standin_path):
+        path, _ = standin_path
+        code, out, _ = run(
+            capsys, "condense", "verify", "--table", path, "--delta", "1",
+            "--epsilon", "0.001", "--c", "4",
+        )
+        assert code == 0 and out == "OK worst_ratio=0\n"
 
     def test_deficit_constant_table_prints_m(self, capsys, tmp_path):
         t = btable.Table.constant(3, 2, 3)
@@ -317,6 +349,50 @@ class TestDistCommands:
         run(capsys, "dist", "push", "--map", "xor", "--n", "2", "--out", str(b))
         code, out, _ = run(capsys, "dist", "sd", str(a), str(b))
         assert code == 0 and out == "0/1\n"
+
+    def test_push_extend_maps_match_extend_outputs(self, capsys):
+        # reference: the maps as the outputs of extend, one request per pair
+        params = field_params(3)
+
+        def outs(x1, x2):
+            return extend.extend(extend.ExtendRequest(x1, x2, 7, params)).outputs
+
+        for i in range(1, 8):
+            want = stats.dist_to_text(
+                stats.pushforward(lambda x1, x2: outs(x1, x2)[i - 1], 3, 3)
+            )
+            code, out, _ = run(
+                capsys, "dist", "push", "--map", "extend", "--n", "3", "--i", str(i)
+            )
+            assert code == 0 and out == want
+            for j in range(1, 8):
+                want = stats.dist_to_text(stats.pushforward(
+                    lambda x1, x2: outs(x1, x2)[i - 1] << 3 | outs(x1, x2)[j - 1],
+                    3, 6,
+                ))
+                code, out, _ = run(
+                    capsys, "dist", "push", "--map", "extend-pair", "--n", "3",
+                    "--i", str(i), "--j", str(j),
+                )
+                assert code == 0 and out == want
+
+    @pytest.mark.parametrize(
+        "flags", [["extend", "--i", "0"], ["extend", "--i", "8"],
+                  ["extend-pair", "--i", "0", "--j", "2"],
+                  ["extend-pair", "--i", "1", "--j", "-1"]],
+    )
+    def test_push_index_out_of_range_exits_2(self, capsys, flags):
+        code, out, err = run(capsys, "dist", "push", "--n", "3", "--map", *flags)
+        assert code == 2 and out == "" and "out of range 1..7" in err
+
+    def test_push_budget_zero_is_honoured(self, capsys, monkeypatch):
+        code, out, err = run(
+            capsys, "dist", "push", "--map", "xor", "--n", "2", "--budget", "0"
+        )
+        assert code == 2 and out == "" and "budget 0" in err
+        monkeypatch.setenv("KEXTRACT_BUDGET", "0")
+        code, out, err = run(capsys, "dist", "push", "--map", "xor", "--n", "2")
+        assert code == 2 and out == "" and "budget 0" in err
 
     def test_push_missing_args_exit_2(self, capsys):
         code, _, err = run(capsys, "dist", "push", "--map", "extend", "--n", "2")

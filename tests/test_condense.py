@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from kextract import stats
-from kextract.btable import Table
+from kextract.btable import DENSE_LIMIT_N, Table
 from kextract.condense import (
     CondenseSchedule,
     CondenserParams,
@@ -150,6 +150,35 @@ class TestVerifyBalance:
         want = oracles.lex_balance_scan(t.cells, A, R, bound)
         assert (rep.ok, rep.worst_ratio, rep.witness) == want
 
+    @settings(max_examples=15)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size_A=st.integers(0, 3),
+        density=st.sampled_from([0.3, 0.5, 0.7]),
+        delta=st.sampled_from([0.25, 0.5, 0.75]),
+        epsilon=st.sampled_from([0.25, 0.5]),
+    )
+    def test_sampled_same_report_as_reference(
+        self, seed, size_A, density, delta, epsilon
+    ):
+        rng = np.random.default_rng(seed)
+        in_A = rng.random((16, 16)) < density
+        in_colors = rng.integers(0, max(size_A, 1), (16, 16))
+        cells = np.where(in_A, in_colors, rng.integers(size_A, 4, (16, 16)))
+        t = Table(4, 2, cells.astype(np.uint32))
+        A = list(range(size_A))
+        R = math.ceil(2.0 ** (delta * 4))
+        bound = color_bound_fraction(size_A, 4, delta, epsilon, 1) * R * R
+        rep = verify_balance(t, delta, epsilon, 1, A, "sampled", trials=40, seed=seed)
+        want = oracles.sampled_balance(t.cells, A, R, bound, 40, seed)
+        assert (rep.ok, rep.worst_ratio, rep.witness) == want
+
+    def test_overflowing_bound_is_trivially_met(self):
+        assert color_bound_fraction(1, 4, 1, 0.001, 4) == math.inf
+        assert color_bound_fraction(0, 4, 1, 0.001, 4) == 0.001
+        rep = verify_balance(Table.constant(2, 2, 1), 1, 0.001, 4, range(4))
+        assert rep.ok and rep.worst_ratio == 0.0
+
     def test_bound_monotone_in_color_set_size(self):
         values = [
             color_bound_fraction(size, 8, 0.5, 0.1, 2) for size in range(9)
@@ -167,16 +196,27 @@ class TestStandinTable:
         assert all(t.lookup(1, y) == (y & 3) for y in range(8))
 
     def test_matches_field_multiplication(self):
-        t = standin_table(3, 2)
-        params = field_params(3)
-        for x in range(8):
-            for y in range(8):
-                assert t.lookup(x, y) == oracles.gf_mul(x, y, params.modulus) & 3
+        for n in range(1, 9):
+            modulus = field_params(n).modulus
+            N = 1 << n
+            want = np.array(
+                [[oracles.gf_mul(x, y, modulus) for y in range(N)] for x in range(N)]
+            )
+            for m in sorted({1, (n + 1) // 2, n}):
+                t = standin_table(n, m)
+                assert np.array_equal(t.cells, want & ((1 << m) - 1)), (n, m)
+
+    def test_sampled_cells_at_dense_limit(self):
+        t = standin_table(DENSE_LIMIT_N, 7)
+        modulus = field_params(DENSE_LIMIT_N).modulus
+        rng = np.random.default_rng(12)
+        for x, y in rng.integers(0, t.N, size=(500, 2)).tolist():
+            assert t.lookup(x, y) == oracles.gf_mul(x, y, modulus) & 0x7F
 
     def test_lazy_agrees_with_dense(self):
+        # above DENSE_LIMIT_N the stand-in is standin_color behind an FnTable
         dense = standin_table(4, 3)
-        lazy = standin_table(4, 3, dense=False)
-        assert isinstance(lazy, FnTable)
+        lazy = FnTable(4, 3, lambda x, y: standin_color(x, y, 4, 3))
         for x in range(16):
             for y in range(16):
                 assert dense.lookup(x, y) == lazy.lookup(x, y)
@@ -187,8 +227,13 @@ class TestStandinTable:
         assert t.lookup(1, 0xABCDEF) == 0xABCDEF & 0xFF
 
     def test_dense_limit(self):
-        with pytest.raises(ResourceError):
-            standin_table(13, 2, dense=True)
+        assert isinstance(standin_table(DENSE_LIMIT_N, 2), Table)
+        t = standin_table(DENSE_LIMIT_N + 1, 5)
+        assert isinstance(t, FnTable)
+        modulus = field_params(DENSE_LIMIT_N + 1).modulus
+        rng = np.random.default_rng(13)
+        for x, y in rng.integers(0, t.N, size=(200, 2)).tolist():
+            assert t.lookup(x, y) == oracles.gf_mul(x, y, modulus) & 0x1F
 
     def test_m_range(self):
         with pytest.raises(ParameterError):

@@ -6,59 +6,49 @@ from hypothesis import strategies as st
 
 import oracles
 from kextract.errors import DomainError, ParameterError
+from kextract.extend import ExtendRequest, extend, invert_pair
 from kextract.gf2n import (
     _LEAST_IRREDUCIBLE,
-    FieldElement,
     FieldParams,
-    add,
     field_params,
-    inverse,
     inverse_bits,
-    mul,
     mul_bits,
-    nth_nonzero,
 )
 
 P3 = field_params(3)
 
 
-def fe(bits, params=P3):
-    return FieldElement(bits, params)
+def outputs(x1, x2, count, params=P3):
+    return extend(ExtendRequest(x1, x2, count, params)).outputs
 
 
 class TestAdd:
+    """Field addition is XOR, as z_i = x1 + e_i * x2 uses it."""
+
     def test_xor(self):
-        assert add(fe(0b101), fe(0b011)).bits == 0b110
+        assert outputs(0b101, 0b011, 1) == (0b110,)
 
     def test_additive_identity(self):
         for v in range(8):
-            assert add(fe(v), fe(0)).bits == v
+            assert outputs(v, 0, 7) == (v,) * 7
 
     def test_characteristic_two(self):
         for v in range(8):
-            assert add(fe(v), fe(v)).bits == 0
-
-    def test_mismatched_params_rejected(self):
-        with pytest.raises(ParameterError):
-            add(fe(1), FieldElement(1, field_params(4)))
+            assert outputs(v, v, 1) == (0,)
 
 
 class TestMul:
     def test_hand_example(self):
         # x * (x + 1) = x^2 + x under x^3 + x + 1
-        assert mul(fe(0b010), fe(0b011)).bits == 0b110
+        assert mul_bits(0b010, 0b011, P3) == 0b110
 
     def test_multiplicative_identity(self):
         for v in range(8):
-            assert mul(fe(v), fe(1)).bits == v
+            assert mul_bits(v, 1, P3) == mul_bits(1, v, P3) == v
 
     def test_absorbing_zero(self):
         for v in range(8):
-            assert mul(fe(v), fe(0)).bits == 0
-
-    def test_mismatched_params_rejected(self):
-        with pytest.raises(ParameterError):
-            mul(fe(1), FieldElement(1, field_params(4)))
+            assert mul_bits(v, 0, P3) == mul_bits(0, v, P3) == 0
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_agrees_with_schoolbook_oracle_exhaustively(self, n):
@@ -81,15 +71,15 @@ class TestMul:
 
 class TestInverse:
     def test_identity(self):
-        assert inverse(fe(1)).bits == 1
+        assert inverse_bits(1, P3) == 1
 
     def test_hand_example(self):
         # x * (x^2 + 1) = x^3 + x = 1 under x^3 + x + 1
-        assert inverse(fe(0b010)).bits == 0b101
+        assert inverse_bits(0b010, P3) == 0b101
 
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
-            inverse(fe(0))
+            inverse_bits(0, P3)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_defining_property_exhaustive(self, n):
@@ -139,24 +129,29 @@ class TestFieldAxioms:
 
 
 class TestNthNonzero:
+    """extend's index i names e_i, the i-th nonzero element in numeric
+    order, so with x1 = 0 and x2 = 1 output i is e_i itself."""
+
     def test_first_is_identity(self):
-        assert nth_nonzero(1, P3).bits == 1
+        assert outputs(0, 1, 1) == (1,)
 
     def test_second(self):
-        assert nth_nonzero(2, P3).bits == 0b010
+        assert outputs(0, 1, 2)[1] == 0b010
 
     def test_last(self):
-        assert nth_nonzero(7, P3).bits == 0b111
+        assert outputs(0, 1, 7)[6] == 0b111
 
     @pytest.mark.parametrize("i", [0, 8, -1])
     def test_out_of_range(self, i):
         with pytest.raises(ParameterError):
-            nth_nonzero(i, P3)
+            ExtendRequest(0, 1, i, P3)
+        with pytest.raises(ParameterError):
+            invert_pair(0, 0, i, 1, P3)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_injective_and_nonzero(self, n):
         params = field_params(n)
-        seen = {nth_nonzero(i, params).bits for i in range(1, params.order)}
+        seen = set(outputs(0, 1, params.order - 1, params))
         assert len(seen) == params.order - 1
         assert 0 not in seen
 
@@ -164,7 +159,9 @@ class TestNthNonzero:
 class TestParams:
     def test_element_out_of_range(self):
         with pytest.raises(ParameterError):
-            FieldElement(8, P3)
+            ExtendRequest(8, 0, 1, P3)
+        with pytest.raises(ParameterError):
+            invert_pair(8, 0, 1, 2, P3)
 
     def test_reducible_modulus_rejected(self):
         with pytest.raises(ParameterError):
