@@ -36,23 +36,25 @@ import itertools
 import math
 import secrets
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
-from mpmath import mp, mpf
 
 from .errors import DecodeError, ParameterError, ResourceError
 
 # Budgets: logical subset-pair count for exhaustive verification, table
 # count for exhaustive search, the largest n a table is materialized
 # densely for (2^(2n) cells), and the column counts a scan block holds
-# (128 KiB; a block has at least one row subset, whatever N * K is).
+# (128 KiB; a block has at least one row subset, whatever N * K is),
+# and the cells a KXTB read or write packs at a time (a multiple of 8,
+# so every block starts on a byte boundary; ~2 MiB of bits per block).
 # Colors are uint32 cells, and m <= MAX_M keeps pair labels a*M + b
 # within int64.
 DEFAULT_PAIR_BUDGET = 10**9
 DEFAULT_TABLE_BUDGET = 1 << 16
 DENSE_LIMIT_N = 12
 SCAN_BLOCK_ENTRIES = 1 << 16
+IO_BLOCK_CELLS = 1 << 16
 MAX_M = 31
 
 TABLE_MAGIC = b"KXTB"
@@ -497,6 +499,8 @@ def check_existence_bound(N: int, M: int, S: int, n: int, k: int) -> ExistenceBo
     not fold it.  Values are mpmath floats so astronomically large
     parameters (S = 2^hundreds) neither overflow nor lose the comparison.
     """
+    from mpmath import mp, mpf  # here, not at import: it costs ~40 ms to load
+
     if N < 1 or M < 1 or n < 1 or k < 1 or S < 0:
         raise ParameterError("N, M, n, k must be >= 1 and S >= 0")
     if S > N:
@@ -525,6 +529,8 @@ def failure_prob_bounds(N: int, M: int, S: int, n: int, k: int):
 
     When check_existence_bound holds, both are below -1.
     """
+    from mpmath import mp, mpf
+
     if N < 1 or M < 1 or n < 1 or k < 1 or S < 1:
         raise ParameterError("N, M, n, k, S must be >= 1")
     if S > N:
@@ -547,48 +553,36 @@ def failure_prob_bounds(N: int, M: int, S: int, n: int, k: int):
 # Readers accept 1 <= n <= DENSE_LIMIT_N and 1 <= m <= MAX_M.
 
 
-def _pack_cells(cells_flat: Iterable[int], m: int, count: int) -> bytes:
-    out = bytearray()
-    acc = 0
-    accbits = 0
-    for v in cells_flat:
-        acc |= int(v) << accbits
-        accbits += m
-        while accbits >= 8:
-            out.append(acc & 0xFF)
-            acc >>= 8
-            accbits -= 8
-    if accbits:
-        out.append(acc & 0xFF)
-    expected = (count * m + 7) // 8
-    assert len(out) == expected
-    return bytes(out)
+def _pack_cells(cells: np.ndarray, m: int) -> Iterator[np.ndarray]:
+    """The packed body of flat uint32 cells, in byte-aligned chunks."""
+    for start in range(0, len(cells), IO_BLOCK_CELLS):
+        block = cells[start:start + IO_BLOCK_CELLS].astype("<u4", copy=False)
+        bits = np.unpackbits(
+            block.view(np.uint8).reshape(-1, 4), axis=1, count=m, bitorder="little"
+        )
+        yield np.packbits(bits, bitorder="little")
 
 
-def _unpack_cells(data: bytes, m: int, count: int) -> np.ndarray:
+def _unpack_cells(body, m: int, count: int) -> np.ndarray:
+    """``count`` m-bit cells from a packed body (a bytes-like object)."""
+    data = np.frombuffer(body, dtype=np.uint8)
     cells = np.empty(count, dtype=np.uint32)
-    acc = 0
-    accbits = 0
-    pos = 0
-    mask = (1 << m) - 1
-    for idx in range(count):
-        while accbits < m:
-            acc |= data[pos] << accbits
-            pos += 1
-            accbits += 8
-        cells[idx] = acc & mask
-        acc >>= m
-        accbits -= m
+    for start in range(0, count, IO_BLOCK_CELLS):
+        size = min(IO_BLOCK_CELLS, count - start)
+        chunk = data[start * m // 8:((start + size) * m + 7) // 8]
+        bits = np.zeros((size, 32), dtype=np.uint8)  # a little-endian uint32 per row
+        low = np.unpackbits(chunk, count=size * m, bitorder="little")
+        bits[:, :m] = low.reshape(size, m)
+        cells[start:start + size] = np.packbits(bits, bitorder="little").view("<u4")
     return cells
 
 
 def write_table(table: Table, path, sidecar_fields: Optional[dict] = None) -> None:
     """Write the binary table file plus a ``<path>.prov`` text sidecar."""
-    count = table.N * table.N
-    header = TABLE_MAGIC + bytes([TABLE_VERSION, table.n, table.m])
-    body = _pack_cells(table.cells.ravel(), table.m, count)
     with open(path, "wb") as fh:
-        fh.write(header + body)
+        fh.write(TABLE_MAGIC + bytes([TABLE_VERSION, table.n, table.m]))
+        for chunk in _pack_cells(table.cells.ravel(), table.m):
+            fh.write(chunk)
     lines = [f"provenance={table.provenance}"]
     for key in sorted(sidecar_fields or {}):
         lines.append(f"{key}={sidecar_fields[key]}")
@@ -620,7 +614,7 @@ def read_table(path) -> Table:
         )
     if data[-1] >> (count * m % 8 or 8):  # bits past the last cell
         raise DecodeError(f"{path}: nonzero padding bits", len(data) - 1)
-    cells = _unpack_cells(data[7:], m, count)
+    cells = _unpack_cells(memoryview(data)[7:], m, count)
     return Table(n, m, cells, f"loaded({path})")
 
 

@@ -28,7 +28,7 @@ from .errors import (
     ParameterError,
     ResourceError,
 )
-from .gf2n import field_params, mul_bits
+from .gf2n import field_params, multiples
 
 
 def _parse_hex(text: str, what: str) -> tuple[int, int]:
@@ -300,21 +300,18 @@ def _cmd_dist_push(args) -> int:
         elif args.map == "extend":
             if args.i is None:
                 raise ParameterError("--map extend needs --i")
-            i = args.i
-            extend.ExtendRequest(0, 0, i, params)  # range-checks i as `extend` does
-            dist = stats.pushforward(
-                lambda x1, x2: x1 ^ mul_bits(i, x2, params), n, n, budget=budget
-            )
+            extend.ExtendRequest(0, 0, args.i, params)  # range-checks i as `extend` does
+            iz = multiples(args.i, 1 << n, params)  # iz[x2] = i*x2
+            dist = stats.pushforward(lambda x1, x2: x1 ^ iz[x2], n, n, budget=budget)
         elif args.map == "extend-pair":
             if args.i is None or args.j is None:
                 raise ParameterError("--map extend-pair needs --i and --j")
-            i, j = args.i, args.j
-            for index in (i, j):
+            for index in (args.i, args.j):
                 extend.ExtendRequest(0, 0, index, params)
+            iz, jz = (multiples(e, 1 << n, params) for e in (args.i, args.j))
 
             def pair(x1, x2):
-                zi, zj = (x1 ^ mul_bits(e, x2, params) for e in (i, j))
-                return zi << n | zj
+                return (x1 ^ iz[x2]) << n | (x1 ^ jz[x2])
 
             dist = stats.pushforward(pair, n, 2 * n, budget=budget)
         else:
@@ -329,15 +326,23 @@ def _cmd_dist_push(args) -> int:
     return 0
 
 
+def _read_dist(path: str) -> stats.Dist:
+    try:
+        text = _read_file(path).decode()
+    except UnicodeDecodeError as exc:
+        raise DecodeError(f"{path}: not UTF-8 text", exc.start) from None
+    return stats.dist_from_text(text)
+
+
 def _cmd_dist_mindent(args) -> int:
-    dist = stats.dist_from_text(_read_file(args.dist).decode())
+    dist = _read_dist(args.dist)
     print(f"{stats.min_entropy(dist):.12g}")
     return 0
 
 
 def _cmd_dist_sd(args) -> int:
-    d1 = stats.dist_from_text(_read_file(args.dist1).decode())
-    d2 = stats.dist_from_text(_read_file(args.dist2).decode())
+    d1 = _read_dist(args.dist1)
+    d2 = _read_dist(args.dist2)
     sd = stats.statistical_distance(d1, d2)
     print(f"{sd.numerator}/{sd.denominator}")
     return 0

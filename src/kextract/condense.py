@@ -90,12 +90,14 @@ class CondenseSchedule:
             raise ParameterError(f"c={self.c} must be >= 1")
         epsilon = Fraction(1, 8 * self.n**10 * self.alpha)
         log_inv_eps = math.log2(epsilon.denominator)
-        t = (
-            self.alpha
-            + 10 * _ceil_log2(self.n)
-            + math.ceil(((self.delta / 2) * log_inv_eps) ** self.c)
-            + 3
-        )
+        try:
+            slack = math.ceil(((self.delta / 2) * log_inv_eps) ** self.c)
+        except OverflowError:
+            raise ParameterError(
+                f"((delta/2)*log2(1/epsilon))^c = ({self.delta / 2:g}*"
+                f"{log_inv_eps:g})^{self.c} is past float range"
+            ) from None
+        t = self.alpha + 10 * _ceil_log2(self.n) + slack + 3
         object.__setattr__(self, "epsilon", epsilon)
         object.__setattr__(self, "t", t)
         if not 0 < epsilon < 1:
@@ -157,7 +159,11 @@ def verify_balance(
         raise ParameterError(
             f"threshold side ceil(2^(delta*n)) = {R} exceeds N = {N}"
         )
+    if mode not in ("exhaustive", "sampled"):
+        raise ParameterError(f"unknown mode {mode!r}")
     bound = color_bound_fraction(len(A), M, delta, epsilon, c) * R * R
+    if bound == math.inf:  # no count reaches it: nothing to scan
+        return BalanceReport(True, 0.0)
     indicator = np.isin(table.cells, np.array(A, dtype=np.uint32)).astype(np.int64)
 
     best_count, best = 0, None
@@ -168,12 +174,10 @@ def verify_balance(
             if tops[b, 1] > best_count:
                 best_count, B1 = int(tops[b, 1]), tuple(subsets[b].tolist())
                 best = B1, _top_columns(indicator, B1, 1, R)
-    elif mode == "sampled":
+    else:
         for B1, B2, counts in _sampled_rects(indicator, 2, R, trials, seed):
             if counts[1] > best_count:
                 best_count, best = int(counts[1]), (B1, B2)
-    else:
-        raise ParameterError(f"unknown mode {mode!r}")
     witness = best if best_count > bound else None
     return BalanceReport(witness is None, best_count / bound, witness)
 
@@ -269,7 +273,5 @@ def min_entropy_deficit(table: Table, rows: Sequence[int], cols: Sequence[int]) 
             raise ParameterError(f"index {v} outside 0..{table.N - 1}")
     values = table.cells[np.ix_(rows, cols)].ravel()
     counts = np.bincount(values, minlength=table.M)
-    dist = stats.Dist.from_counts(
-        table.m, {v: int(c) for v, c in enumerate(counts) if c}
-    )
+    dist = stats.Dist(table.m, {v: int(c) for v, c in enumerate(counts) if c})
     return table.m - stats.min_entropy(dist)

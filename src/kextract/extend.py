@@ -17,7 +17,11 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import ParameterError
-from .gf2n import FieldParams, inverse_bits, mul_bits
+from .gf2n import FieldParams, inverse_bits, mul_bits, multiples
+
+# Outputs per block of ``iter_extend``: the size of its table of
+# multiples lo*x2, which bounds its memory whatever the count.
+EXTEND_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -47,9 +51,18 @@ class ExtendOutput:
 
 
 def iter_extend(req: ExtendRequest) -> Iterator[int]:
-    """Yield z_1, z_2, ... in index order with O(n) memory."""
-    for i in range(1, req.count + 1):
-        yield req.x1 ^ mul_bits(i, req.x2, req.params)
+    """Yield z_1, z_2, ... in index order, holding at most EXTEND_BLOCK
+    field elements whatever the count.
+
+    i*x2 is GF(2)-linear in i, so for i = hi + lo with hi a multiple of
+    the table size L and lo < L, z_i = x1 ^ hi*x2 ^ lo*x2: one multiply
+    per block of L outputs and one XOR per output.
+    """
+    table = multiples(req.x2, min(req.count + 1, EXTEND_BLOCK), req.params)
+    size = len(table)
+    for hi in range(0, req.count + 1, size):
+        base = req.x1 ^ mul_bits(req.x2, hi, req.params)
+        yield from [base ^ lo for lo in table[1 if hi == 0 else 0:req.count + 1 - hi]]
 
 
 def extend(req: ExtendRequest) -> ExtendOutput:

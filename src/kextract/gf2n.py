@@ -20,8 +20,9 @@ trial division against every polynomial of degree 1..n/2; for n > 32
 only the built-in table entry is accepted.
 
 Elements are plain ints: addition is ``^``, ``mul_bits`` multiplies by
-shift-and-XOR with interleaved reduction, and ``inverse_bits`` runs the
-extended Euclidean algorithm on polynomials.  Callers keep operands
+shift-and-XOR with interleaved reduction, ``multiples`` tabulates k*x
+for all k below a power of two by doubling, and ``inverse_bits`` runs
+the extended Euclidean algorithm on polynomials.  Callers keep operands
 below 2^n.  All operations are pure, so everything here is safe for
 unrestricted concurrent use.
 """
@@ -131,6 +132,23 @@ def mul_bits(a: int, b: int, params: FieldParams) -> int:
         if a & top:
             a ^= modulus
     return r
+
+
+def multiples(x: int, size: int, params: FieldParams) -> list[int]:
+    """[k*x for k in range(L)], L the least power of two >= size, one XOR each.
+
+    k*x is GF(2)-linear in k, so with 2^b*x from one doubling step
+    (shift and reduce), (2^b + k)*x = 2^b*x ^ k*x for every k < 2^b.
+    """
+    top = 1 << params.n
+    modulus = params.modulus
+    table = [0]
+    while len(table) < size:
+        table += [x ^ t for t in table]
+        x <<= 1
+        if x & top:
+            x ^= modulus
+    return table
 
 
 def inverse_bits(a: int, params: FieldParams) -> int:

@@ -1,16 +1,22 @@
-"""Exact small-scale distribution checks with rational probabilities.
+"""Exact small-scale distribution checks with integer counts.
 
-Distributions keep a ``Fraction`` per outcome so statements like
-"exactly uniform" are decided with no floating-point drift; floats
-appear only at the final log/compare step (min-entropy).
+A distribution is a map from outcomes to nonnegative integer counts
+plus their total, so outcome v has probability counts[v]/total exactly
+and statements like "exactly uniform" are decided with no
+floating-point drift.  Comparisons run in integers over a common
+denominator; floats appear only at the final log step (min-entropy).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import re
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 from .errors import DecodeError, ParameterError, ResourceError
 
@@ -20,41 +26,50 @@ DEFAULT_ENUM_BUDGET = 1 << 24
 
 @dataclass(frozen=True)
 class Dist:
-    """A probability distribution on {0,1}^domain_bits."""
+    """A probability distribution on {0,1}^domain_bits.
+
+    ``counts`` maps outcomes to nonnegative integer weights; outcome v
+    has probability counts[v] / total.  Counts are stored in lowest
+    terms (divided by their gcd), so equal distributions compare equal.
+    Outcomes listed with count 0 are kept.
+    """
 
     domain_bits: int
-    probs: dict[int, Fraction] = field(default_factory=dict)
+    counts: dict[int, int]
+    total: int = field(init=False)
 
     def __post_init__(self):
-        limit = 1 << self.domain_bits
-        total = Fraction(0)
-        for outcome, p in self.probs.items():
-            if not 0 <= outcome < limit:
-                raise ParameterError(
-                    f"outcome {outcome:#x} does not fit in {self.domain_bits} bits"
-                )
-            if p < 0:
-                raise ParameterError("negative probability")
-            total += p
-        if total != 1:
-            raise ParameterError(f"probabilities sum to {total}, not 1")
+        counts = dict(self.counts)
+        if self.domain_bits < 0:
+            raise ParameterError(f"domain_bits={self.domain_bits} must be >= 0")
+        if counts and (min(counts) < 0 or max(counts) >> self.domain_bits):
+            raise ParameterError(f"an outcome does not fit in {self.domain_bits} bits")
+        if counts and min(counts.values()) < 0:
+            raise ParameterError("negative count")
+        try:
+            g = math.gcd(*counts.values())
+        except TypeError:
+            raise ParameterError("counts must be integers") from None
+        if g == 0:
+            raise ParameterError("counts sum to 0; a distribution needs mass")
+        if g > 1:
+            counts = {v: c // g for v, c in counts.items()}
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "total", sum(counts.values()))
 
-    @classmethod
-    def from_counts(cls, domain_bits: int, counts: dict[int, int]) -> "Dist":
-        total = sum(counts.values())
-        return cls(
-            domain_bits,
-            {v: Fraction(c, total) for v, c in counts.items() if c},
-        )
+    @property
+    def probs(self) -> Mapping[int, Fraction]:
+        """Read-only view of each outcome's exact probability."""
+        t = self.total
+        return MappingProxyType({v: Fraction(c, t) for v, c in self.counts.items()})
 
     @classmethod
     def uniform(cls, domain_bits: int) -> "Dist":
-        p = Fraction(1, 1 << domain_bits)
-        return cls(domain_bits, {v: p for v in range(1 << domain_bits)})
+        return cls(domain_bits, dict.fromkeys(range(1 << domain_bits), 1))
 
     @classmethod
     def point_mass(cls, domain_bits: int, outcome: int) -> "Dist":
-        return cls(domain_bits, {outcome: Fraction(1)})
+        return cls(domain_bits, {outcome: 1})
 
 
 def pushforward(
@@ -73,13 +88,8 @@ def pushforward(
         raise ResourceError(
             f"pushforward needs {evals} evaluations, over budget {budget}"
         )
-    counts: dict[int, int] = {}
-    N = 1 << n
-    for x1 in range(N):
-        for x2 in range(N):
-            v = fn(x1, x2)
-            counts[v] = counts.get(v, 0) + 1
-    return Dist(out_bits, {v: Fraction(c, evals) for v, c in counts.items()})
+    pairs = itertools.product(range(1 << n), repeat=2)
+    return Dist(out_bits, Counter(itertools.starmap(fn, pairs)))
 
 
 def min_entropy(d: Dist) -> float:
@@ -87,20 +97,21 @@ def min_entropy(d: Dist) -> float:
 
     Exact rational input; the result is a float good to well below 2^-40.
     """
-    if not d.probs:
-        raise ParameterError("empty distribution")
-    p = max(d.probs.values())
-    return math.log2(p.denominator) - math.log2(p.numerator)
+    top = max(d.counts.values())
+    g = math.gcd(top, d.total)  # logs of the fraction in lowest terms
+    return math.log2(d.total // g) - math.log2(top // g)
 
 
 def statistical_distance(d1: Dist, d2: Dist) -> Fraction:
     """Largest probability gap over all events: half the L1 distance."""
     if d1.domain_bits != d2.domain_bits:
         raise ParameterError("distributions live on different domains")
-    outcomes = set(d1.probs) | set(d2.probs)
-    zero = Fraction(0)
-    l1 = sum(abs(d1.probs.get(v, zero) - d2.probs.get(v, zero)) for v in outcomes)
-    return l1 / 2
+    den = math.lcm(d1.total, d2.total)
+    s1, s2 = den // d1.total, den // d2.total
+    c2 = d2.counts
+    l1 = sum(abs(c * s1 - c2.get(v, 0) * s2) for v, c in d1.counts.items())
+    l1 += sum(c * s2 for v, c in c2.items() if v not in d1.counts)
+    return Fraction(l1, 2 * den)
 
 
 def epsilon_close_to_min_entropy(d: Dist, k_bits: float) -> Fraction:
@@ -118,34 +129,88 @@ def epsilon_close_to_min_entropy(d: Dist, k_bits: float) -> Fraction:
         cap = Fraction(1, 1 << int(k_bits))
     else:
         cap = Fraction(2.0 ** -float(k_bits))
-    zero = Fraction(0)
-    return sum((p - cap for p in d.probs.values() if p > cap), zero)
+    # c/total > a/b  <=>  c*b > a*total; the excess is over total*b
+    over = cap.numerator * d.total
+    b = cap.denominator
+    excess = sum(c * b - over for c in d.counts.values() if c * b > over)
+    return Fraction(excess, d.total * b)
 
 
 def dist_to_text(d: Dist) -> str:
-    """Serialize: a ``bits n`` header, then ``outcome_hex num/den`` lines."""
-    width = max(1, (d.domain_bits + 3) // 4)
+    """Serialize: a ``bits n`` header, then ``outcome_hex num/den`` lines
+    in outcome order, each probability in lowest terms."""
+    t = d.total
+    mass = {}
+    for c in set(d.counts.values()):
+        g = math.gcd(c, t)
+        mass[c] = f"{c // g}/{t // g}"
+    line = f"%0{max(1, (d.domain_bits + 3) // 4)}x %s"
     lines = [f"bits {d.domain_bits}"]
-    for outcome in sorted(d.probs):
-        p = d.probs[outcome]
-        lines.append(f"{outcome:0{width}x} {p.numerator}/{p.denominator}")
+    lines += [line % (v, mass[c]) for v, c in sorted(d.counts.items())]
     return "\n".join(lines) + "\n"
 
 
-def dist_from_text(text: str) -> Dist:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("bits "):
-        raise DecodeError("missing 'bits <n>' header", 0)
+_HEADER = re.compile(r"bits\s+([0-9]+)")
+_LINE = re.compile(r"([0-9a-f]+)\s+([0-9]+)/([0-9]+)")
+
+
+def _decimal(digits: str, idx: int) -> int:
     try:
-        domain_bits = int(lines[0].split()[1])
-    except (IndexError, ValueError):
-        raise DecodeError("unreadable 'bits' header", 0) from None
-    probs: dict[int, Fraction] = {}
+        return int(digits)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise DecodeError(f"{len(digits)}-digit number is too long", idx) from None
+
+
+def _first_bad_line(lines: list[str], domain_bits: int) -> DecodeError:
+    """The error for the first of lines[1:] that is not an outcome below
+    2^domain_bits, unlisted before it, with a mass num/den, den > 0."""
+    seen = set()
     for idx, line in enumerate(lines[1:], start=1):
-        try:
-            outcome_hex, frac = line.split()
-            num, den = frac.split("/")
-            probs[int(outcome_hex, 16)] = Fraction(int(num), int(den))
-        except ValueError:
-            raise DecodeError(f"unreadable distribution line {line!r}", idx) from None
-    return Dist(domain_bits, probs)
+        m = _LINE.fullmatch(line)
+        if m is None:
+            return DecodeError(f"unreadable distribution line {line!r}", idx)
+        outcome = int(m[1], 16)
+        if outcome >> domain_bits:
+            return DecodeError(f"outcome {m[1]} does not fit in {domain_bits} bits", idx)
+        if outcome in seen:
+            return DecodeError(f"outcome {m[1]} listed twice", idx)
+        seen.add(outcome)
+        _decimal(m[2], idx)  # raises on a numerator past int()'s digit limit
+        if _decimal(m[3], idx) == 0:
+            return DecodeError(f"zero denominator in {line!r}", idx)
+    raise AssertionError("every line is well formed")
+
+
+def dist_from_text(text: str) -> Dist:
+    """Parse ``dist_to_text`` output.  Blank lines are skipped; the rest
+    are the header ``bits <decimal>`` and one ``<hex> <num>/<den>`` line
+    per distinct outcome, outcome in lowercase hex below 2^bits,
+    den > 0, masses summing to exactly 1.  Anything else raises
+    DecodeError whose position is the index among nonblank lines
+    (header 0)."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    header = _HEADER.fullmatch(lines[0]) if lines else None
+    if header is None:
+        raise DecodeError("missing or unreadable 'bits <n>' header", 0)
+    domain_bits = _decimal(header[1], 0)
+    rows = [_LINE.fullmatch(line) for line in lines[1:]]
+    if None in rows:
+        raise _first_bad_line(lines, domain_bits)
+    masses = {int(m[1], 16): m.group(2, 3) for m in rows}  # outcome -> digits
+    dens = {den for _, den in masses.values()}
+    try:  # each distinct digit string once
+        number = {s: int(s) for s in dens.union(num for num, _ in masses.values())}
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise _first_bad_line(lines, domain_bits) from None
+    too_wide = max(masses, default=0) >> domain_bits
+    if len(masses) < len(rows) or too_wide or 0 in {number[den] for den in dens}:
+        raise _first_bad_line(lines, domain_bits)
+    total = math.lcm(*(number[den] for den in dens))
+    scale = {den: total // number[den] for den in dens}
+    counts = {v: number[num] * scale[den] for v, (num, den) in masses.items()}
+    mass = sum(counts.values())
+    if mass != total:
+        raise DecodeError(
+            f"probabilities sum to {Fraction(mass, total)}, not 1", len(lines)
+        )
+    return Dist(domain_bits, counts)

@@ -7,6 +7,7 @@ shares no code path with the implementations under test.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -268,3 +269,119 @@ def sampled_balance(cells, colors, R, bound, trials, seed):
             best_count, best = count, (B1, B2)
     witness = best if best_count > bound else None
     return witness is None, best_count / bound, witness
+
+
+# -- KXTB bit loops: references for the chunked numpy pack/unpack ----------
+#
+# The library's earlier cell packing, one cell at a time through an
+# integer accumulator, least-significant bit first.
+
+
+def pack_cells(cells_flat, m: int, count: int) -> bytes:
+    out = bytearray()
+    acc = 0
+    accbits = 0
+    for v in cells_flat:
+        acc |= int(v) << accbits
+        accbits += m
+        while accbits >= 8:
+            out.append(acc & 0xFF)
+            acc >>= 8
+            accbits -= 8
+    if accbits:
+        out.append(acc & 0xFF)
+    assert len(out) == (count * m + 7) // 8
+    return bytes(out)
+
+
+def unpack_cells(data: bytes, m: int, count: int) -> np.ndarray:
+    cells = np.empty(count, dtype=np.uint32)
+    acc = 0
+    accbits = 0
+    pos = 0
+    mask = (1 << m) - 1
+    for idx in range(count):
+        while accbits < m:
+            acc |= data[pos] << accbits
+            pos += 1
+            accbits += 8
+        cells[idx] = acc & mask
+        acc >>= m
+        accbits -= m
+    return cells
+
+
+# -- Fraction-per-outcome distributions: references for stats.Dist --------
+#
+# The library's earlier exact distributions, one Fraction per outcome,
+# kept unchanged so the integer-count Dist can be held to the same text,
+# min-entropy, statistical distance and epsilon-closeness.
+
+
+class FractionDist:
+    """{outcome: Fraction} on {0,1}^domain_bits, summing to 1."""
+
+    def __init__(self, domain_bits, probs):
+        limit = 1 << domain_bits
+        total = Fraction(0)
+        for outcome, p in probs.items():
+            if not 0 <= outcome < limit:
+                raise ValueError(f"outcome {outcome:#x} does not fit")
+            if p < 0:
+                raise ValueError("negative probability")
+            total += p
+        if total != 1:
+            raise ValueError(f"probabilities sum to {total}, not 1")
+        self.domain_bits = domain_bits
+        self.probs = dict(probs)
+
+    @classmethod
+    def uniform(cls, domain_bits):
+        p = Fraction(1, 1 << domain_bits)
+        return cls(domain_bits, {v: p for v in range(1 << domain_bits)})
+
+
+def fraction_pushforward(fn, n, out_bits):
+    counts = {}
+    N = 1 << n
+    for x1 in range(N):
+        for x2 in range(N):
+            v = fn(x1, x2)
+            counts[v] = counts.get(v, 0) + 1
+    evals = N * N
+    return FractionDist(out_bits, {v: Fraction(c, evals) for v, c in counts.items()})
+
+
+def fraction_min_entropy(d):
+    p = max(d.probs.values())
+    return math.log2(p.denominator) - math.log2(p.numerator)
+
+
+def fraction_statistical_distance(d1, d2):
+    outcomes = set(d1.probs) | set(d2.probs)
+    zero = Fraction(0)
+    l1 = sum(abs(d1.probs.get(v, zero) - d2.probs.get(v, zero)) for v in outcomes)
+    return l1 / 2
+
+
+def fraction_epsilon_close(d, k_bits):
+    if float(k_bits).is_integer():
+        cap = Fraction(1, 1 << int(k_bits))
+    else:
+        cap = Fraction(2.0 ** -float(k_bits))
+    zero = Fraction(0)
+    return sum((p - cap for p in d.probs.values() if p > cap), zero)
+
+
+def fraction_dist_to_text(d):
+    width = max(1, (d.domain_bits + 3) // 4)
+    lines = [f"bits {d.domain_bits}"]
+    for outcome in sorted(d.probs):
+        p = d.probs[outcome]
+        lines.append(f"{outcome:0{width}x} {p.numerator}/{p.denominator}")
+    return "\n".join(lines) + "\n"
+
+
+def extend_outputs(x1: int, x2: int, count: int, modulus: int) -> tuple:
+    """z_i = x1 + i*x2 for i = 1..count, one schoolbook product each."""
+    return tuple(x1 ^ gf_mul(i, x2, modulus) for i in range(1, count + 1))

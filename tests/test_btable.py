@@ -1,6 +1,8 @@
 import itertools
 import math
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -549,6 +551,84 @@ class TestFileFormat:
         t = random_table(1, 31, 3)
         write_table(t, path)
         assert read_table(path) == t
+
+    def _check_against_loops(self, tmp_path, t):
+        path = tmp_path / "t.ktb"
+        write_table(t, path)
+        count = t.N * t.N
+        body = oracles.pack_cells(t.cells.ravel(), t.m, count)
+        assert path.read_bytes() == b"KXTB\x01" + bytes([t.n, t.m]) + body
+        back = read_table(path)
+        assert np.array_equal(back.cells.ravel(), oracles.unpack_cells(body, t.m, count))
+        assert back == t
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_width_matches_bit_loops(self, tmp_path, n):
+        # random cells, then the widest color, for every m the format allows
+        for m in range(1, btable.MAX_M + 1):
+            self._check_against_loops(tmp_path, random_table(n, m, 31 * n + m))
+            self._check_against_loops(tmp_path, Table.constant(n, m, (1 << m) - 1))
+
+    def test_n10_matches_bit_loops(self, tmp_path):
+        self._check_against_loops(tmp_path, random_table(10, 3, 11))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        m=st.integers(1, btable.MAX_M),
+        seed=st.integers(0, 2**32 - 1),
+        top=st.integers(0, btable.MAX_M),
+    )
+    def test_random_cells_match_bit_loops(self, n, m, seed, top):
+        # colors drawn below 2^min(top, m), so high bits are often all zero
+        rng = np.random.default_rng(seed)
+        N = 1 << n
+        cells = rng.integers(0, 1 << min(top, m), size=(N, N), dtype=np.uint64)
+        with tempfile.TemporaryDirectory() as tmp:
+            self._check_against_loops(Path(tmp), Table(n, m, cells.astype(np.uint32)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(0, 14),
+        m=st.integers(0, 40),
+        extra=st.integers(-3, 3),
+        body=st.binary(max_size=64),
+        head=st.sampled_from([b"KXTB\x01", b"KXTB\x02", b"KXTC\x01", b"KXTB"]),
+    )
+    def test_fuzz_read_decodes_or_raises_decode_error(self, n, m, extra, body, head):
+        # bodies near the right length for small n, so padding and
+        # length checks and successful reads are all reached
+        size = max(((4**n) * m + 7) // 8 + extra if n <= 3 else len(body), 0)
+        data = head + bytes([n, m]) + (body * (size // max(len(body), 1) + 1))[:size]
+        with tempfile.TemporaryDirectory() as tmp:
+            path, again = Path(tmp) / "fuzz.ktb", Path(tmp) / "again.ktb"
+            for cut in (len(data), 6, 5):
+                path.write_bytes(data[:cut])
+                try:
+                    t = read_table(path)
+                except (DecodeError, ParameterError):
+                    continue
+                write_table(t, again)
+                assert again.read_bytes() == data[:cut]
+
+    @pytest.mark.parametrize("op", ["read", "write"])
+    def test_io_memory_is_file_plus_cells_plus_blocks(self, tmp_path, op):
+        t = random_table(10, 31, 5)
+        path = tmp_path / "big.ktb"
+        write_table(t, path)
+        file_bytes = path.stat().st_size
+        tracemalloc.start()
+        try:
+            if op == "read":
+                back = read_table(path)
+            else:
+                write_table(t, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= file_bytes + t.cells.nbytes + 8 * 2**20
+        if op == "read":
+            assert back == t
 
     def test_missing_provenance_sidecar(self, tmp_path):
         t = Table.constant(1, 1, 0)

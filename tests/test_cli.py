@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -247,6 +250,24 @@ class TestCondenseCommands:
         )
         assert code == 0 and out == "OK worst_ratio=0\n"
 
+    def test_apply_slack_past_float_range_exits_2(self, capsys, standin_path):
+        path, _ = standin_path
+        code, out, err = run(
+            capsys, "condense", "apply", "--table", path, "1", "2",
+            "--alpha", "2", "--delta", "0.5", "--c", "400",
+        )
+        assert code == 2 and out == "" and "float range" in err
+
+    def test_verify_infinite_bound_skips_the_budget(self, capsys, tmp_path):
+        # n=5, R=4 needs C(32, 4)^2 = 1.29e9 subset pairs, over the default
+        path = tmp_path / "c5.ktb"
+        btable.write_table(condense.standin_table(5, 2), path)
+        code, out, _ = run(
+            capsys, "condense", "verify", "--table", str(path), "--delta", "0.4",
+            "--epsilon", "0.001", "--c", "6",
+        )
+        assert code == 0 and out == "OK worst_ratio=0\n"
+
     def test_deficit_constant_table_prints_m(self, capsys, tmp_path):
         t = btable.Table.constant(3, 2, 3)
         path = tmp_path / "c.ktb"
@@ -394,6 +415,23 @@ class TestDistCommands:
         code, out, err = run(capsys, "dist", "push", "--map", "xor", "--n", "2")
         assert code == 2 and out == "" and "budget 0" in err
 
+    @pytest.mark.parametrize(
+        "text",
+        ["bits 2\n0 1/0\n", "bits -1\n", "bits 2\n0 1/2\n0 1/2\n", "bits 2\n4 1/1\n"],
+    )
+    def test_malformed_dist_exits_2(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.dist"
+        path.write_text(text)
+        for argv in (["mindent", str(path)], ["sd", str(path), str(path)]):
+            code, out, err = run(capsys, "dist", *argv)
+            assert code == 2 and out == "" and "position" in err
+
+    def test_non_utf8_dist_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "bin.dist"
+        path.write_bytes(b"bits 2\n0 1/1\n\xff\n")
+        code, out, err = run(capsys, "dist", "mindent", str(path))
+        assert code == 2 and out == "" and "position 13" in err
+
     def test_push_missing_args_exit_2(self, capsys):
         code, _, err = run(capsys, "dist", "push", "--map", "extend", "--n", "2")
         assert code == 2 and "--i" in err
@@ -420,3 +458,11 @@ class TestSeedReporting:
         b = run(capsys, *args)
         assert a == b
         assert a[1].startswith("seed 11\n")
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    code = "import sys, kextract.cli; print('mpmath' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "False\n"

@@ -11,6 +11,7 @@ import oracles
 from kextract import stats
 from kextract.btable import DENSE_LIMIT_N, Table
 from kextract.condense import (
+    BalanceReport,
     CondenseSchedule,
     CondenserParams,
     FnTable,
@@ -59,6 +60,10 @@ class TestCondenseSchedule:
     def test_epsilon_exactness(self):
         sched = CondenseSchedule(n=3, delta=1.0, alpha=2, c=1)
         assert sched.epsilon == Fraction(1, 8 * 3**10 * 2)
+
+    def test_slack_past_float_range_is_parameter_error(self):
+        with pytest.raises(ParameterError, match="float range"):
+            CondenseSchedule(n=4, delta=0.5, alpha=2, c=400)
 
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -179,6 +184,16 @@ class TestVerifyBalance:
         rep = verify_balance(Table.constant(2, 2, 1), 1, 0.001, 4, range(4))
         assert rep.ok and rep.worst_ratio == 0.0
 
+    def test_infinite_bound_needs_no_budget(self):
+        # C(32, 4)^2 subset pairs would be over any of these budgets
+        t = standin_table(5, 2)
+        for mode in ("exhaustive", "sampled"):
+            for budget in (None, 0):
+                rep = verify_balance(t, 0.4, 0.001, 6, range(4), mode, budget=budget)
+                assert rep == BalanceReport(True, 0.0, None)
+        with pytest.raises(ParameterError):
+            verify_balance(t, 0.4, 0.001, 6, range(4), "fast")
+
     def test_bound_monotone_in_color_set_size(self):
         values = [
             color_bound_fraction(size, 8, 0.5, 0.1, 2) for size in range(9)
@@ -287,7 +302,7 @@ class TestMinEntropyDeficit:
             for y in cols:
                 v = t.lookup(x, y)
                 counts[v] = counts.get(v, 0) + 1
-        dist = stats.Dist.from_counts(2, counts)
+        dist = stats.Dist(2, counts)
         expected = 2 - stats.min_entropy(dist)
         assert min_entropy_deficit(t, rows, cols) == expected
 

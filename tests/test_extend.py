@@ -1,11 +1,18 @@
 import itertools
 
+import oracles
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kextract.errors import ParameterError
-from kextract.extend import ExtendRequest, extend, invert_pair, iter_extend
+from kextract.extend import (
+    EXTEND_BLOCK,
+    ExtendRequest,
+    extend,
+    invert_pair,
+    iter_extend,
+)
 from kextract.gf2n import field_params
 
 P3 = field_params(3)
@@ -37,6 +44,27 @@ class TestExtend:
     def test_inputs_must_fit(self):
         with pytest.raises(ParameterError):
             ExtendRequest(8, 0, 1, P3)
+
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 13, 16, 64])
+    @pytest.mark.parametrize(
+        "count", [1, 4, 5, EXTEND_BLOCK - 1, EXTEND_BLOCK, EXTEND_BLOCK + 1]
+    )
+    @settings(max_examples=3, deadline=None)
+    @given(seeds=st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)))
+    def test_blocks_match_one_product_per_output(self, n, count, seeds):
+        params = field_params(n)
+        x1, x2 = (v % params.order for v in seeds)
+        count = min(count, params.order - 1)
+        want = oracles.extend_outputs(x1, x2, count, params.modulus)
+        assert extend(ExtendRequest(x1, x2, count, params)).outputs == want
+
+    def test_all_outputs_past_several_blocks(self):
+        params = field_params(16)
+        req = ExtendRequest(0xBEEF, 0x1234, params.order - 1, params)
+        got = extend(req).outputs
+        assert got == oracles.extend_outputs(0xBEEF, 0x1234, req.count, params.modulus)
+        assert sorted(got) == sorted(set(range(params.order)) - {0xBEEF})
 
 
 class TestInvertPair:

@@ -13,6 +13,7 @@ from kextract.gf2n import (
     field_params,
     inverse_bits,
     mul_bits,
+    multiples,
 )
 
 P3 = field_params(3)
@@ -67,6 +68,22 @@ class TestMul:
         a &= params.order - 1
         b &= params.order - 1
         assert mul_bits(a, b, params) == oracles.gf_mul(a, b, params.modulus)
+
+
+class TestMultiples:
+    @pytest.mark.parametrize("size", [1, 2, 3, 5, 8, 100])
+    def test_table_is_products_to_a_power_of_two(self, size):
+        params = field_params(8)
+        for x in (0, 1, 0x53, 0xFF):
+            got = multiples(x, size, params)
+            assert len(got) == 1 << (size - 1).bit_length()
+            assert got == [oracles.gf_mul(k, x, params.modulus) for k in range(len(got))]
+
+    @given(x=st.integers(0, 2**64 - 1))
+    def test_full_width_n64(self, x):
+        params = field_params(64)
+        got = multiples(x, 64, params)
+        assert got == [oracles.gf_mul(k, x, params.modulus) for k in range(64)]
 
 
 class TestInverse:

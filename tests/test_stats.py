@@ -2,11 +2,15 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
+import oracles
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kextract.errors import DecodeError, ParameterError, ResourceError
+from kextract.extend import ExtendRequest, extend
+from kextract.gf2n import field_params
 from kextract.stats import (
     Dist,
     dist_from_text,
@@ -26,14 +30,7 @@ def rational_dist(domain_bits, denominator=16):
         weights = [0] * size
         for c in cuts:
             weights[c % size] += 1
-        return Dist(
-            domain_bits,
-            {
-                v: Fraction(w, denominator)
-                for v, w in enumerate(weights)
-                if w
-            },
-        )
+        return Dist(domain_bits, {v: w for v, w in enumerate(weights) if w})
 
     return st.lists(
         st.integers(0, size - 1), min_size=denominator, max_size=denominator
@@ -42,16 +39,34 @@ def rational_dist(domain_bits, denominator=16):
 
 class TestDist:
     def test_sum_must_be_one(self):
-        with pytest.raises(ParameterError):
-            Dist(1, {0: Fraction(1, 2)})
+        # counts carry the mass, so only a zero total or non-integer
+        # counts can fail to make a distribution
+        for counts in ({0: 0}, {}, {0: Fraction(1, 2)}, {0: 0.5}):
+            with pytest.raises(ParameterError):
+                Dist(1, counts)
 
     def test_outcome_range_checked(self):
+        for outcome in (2, -1):
+            with pytest.raises(ParameterError):
+                Dist(1, {outcome: 1})
         with pytest.raises(ParameterError):
-            Dist(1, {2: Fraction(1)})
+            Dist(-1, {0: 1})
 
     def test_negative_probability_rejected(self):
         with pytest.raises(ParameterError):
-            Dist(1, {0: Fraction(3, 2), 1: Fraction(-1, 2)})
+            Dist(1, {0: 3, 1: -1})
+
+    def test_counts_in_lowest_terms(self):
+        d = Dist(2, {0: 6, 3: 2, 1: 0})
+        assert d.counts == {0: 3, 3: 1, 1: 0} and d.total == 4
+        assert d == Dist(2, {0: 3, 3: 1, 1: 0}) != Dist(2, {0: 3, 3: 1})
+        assert Dist(3, {5: 7}) == Dist.point_mass(3, 5)
+
+    def test_probs_is_a_read_only_view(self):
+        d = Dist(2, {0: 3, 1: 1})
+        assert d.probs == {0: Fraction(3, 4), 1: Fraction(1, 4)}
+        with pytest.raises(TypeError):
+            d.probs[0] = Fraction(1)
 
 
 class TestPushforward:
@@ -76,7 +91,7 @@ class TestMinEntropy:
         assert min_entropy(Dist.point_mass(4, 11)) == 0.0
 
     def test_fractional_max(self):
-        d = Dist(2, {0: Fraction(3, 8), 1: Fraction(3, 8), 2: Fraction(2, 8)})
+        d = Dist(2, {0: 3, 1: 3, 2: 2})
         assert min_entropy(d) == pytest.approx(math.log2(8 / 3), abs=2**-40)
 
 
@@ -98,10 +113,7 @@ class TestStatisticalDistance:
         size = 1 << bits
         d1 = Dist.uniform(bits)
         weights = [3] + [1] * (size - 1)
-        d2 = Dist(
-            bits,
-            {v: Fraction(w, sum(weights)) for v, w in enumerate(weights)},
-        )
+        d2 = Dist(bits, dict(enumerate(weights)))
         zero = Fraction(0)
         for a, b in [(d1, d2), (d2, d1)]:
             sd = statistical_distance(a, b)
@@ -169,7 +181,7 @@ class TestEpsilonCloseToMinEntropy:
 
     def test_monotone_in_k(self):
         # relaxing the min-entropy floor can only move the target closer
-        d = Dist(2, {0: Fraction(5, 8), 1: Fraction(2, 8), 2: Fraction(1, 8)})
+        d = Dist(2, {0: 5, 1: 2, 2: 1})
         values = [epsilon_close_to_min_entropy(d, k) for k in (2, 1.5, 1, 0.5, 0)]
         assert values == sorted(values, reverse=True)
         assert values[-1] == 0
@@ -177,7 +189,7 @@ class TestEpsilonCloseToMinEntropy:
 
 class TestSerialization:
     def test_round_trip(self):
-        d = Dist(5, {0: Fraction(1, 4), 17: Fraction(1, 4), 31: Fraction(1, 2)})
+        d = Dist(5, {0: 1, 17: 1, 31: 2})
         assert dist_from_text(dist_to_text(d)) == d
 
     def test_missing_header(self):
@@ -187,3 +199,123 @@ class TestSerialization:
     def test_bad_line(self):
         with pytest.raises(DecodeError):
             dist_from_text("bits 2\nzz one\n")
+
+    def test_blank_lines_and_spacing_accepted(self):
+        text = "\n  bits 2\n\n 0  1/4\t\n3 3/4\n\n"
+        assert dist_from_text(text) == Dist(2, {0: 1, 3: 3})
+
+    def test_mixed_and_unreduced_denominators(self):
+        text = "bits 3\n1 2/6\n2 1/2\n7 1/6\n5 0/9\n"
+        d = dist_from_text(text)
+        assert d == Dist(3, {1: 2, 2: 3, 7: 1, 5: 0})
+        assert dist_to_text(d) == "bits 3\n1 1/3\n2 1/2\n5 0/1\n7 1/6\n"
+
+    @pytest.mark.parametrize(
+        "text,position",
+        [
+            ("bits -1\n", 0),
+            ("bits 2 3\n0 1/1\n", 0),
+            ("bits\n", 0),
+            ("bit 2\n0 1/1\n", 0),
+            ("", 0),
+            ("bits 2\n0 1/0\n", 1),
+            ("bits 2\n0 1/2\n\n1 1/2\n0 0/1\n", 3),  # repeated outcome
+            ("bits 2\n0 1/2\n01 1/2\n1 0/3\n", 3),  # same outcome, other spelling
+            ("bits 2\n4 1/1\n", 1),  # outcome needs 3 bits
+            ("bits 0\n1 1/1\n", 1),
+            ("bits 4\nA 1/1\n", 1),
+            ("bits 4\n0x1 1/1\n", 1),
+            ("bits 4\n1 -1/2\n2 3/2\n", 1),
+            ("bits 4\n1 +1/1\n", 1),
+            ("bits 4\n1 1/1 x\n", 1),
+            ("bits 4\n1 1\n", 1),
+            ("bits 4\n1 1/" + "3" * 5000 + "\n", 1),
+            ("bits 2\n0 1/2\n1 1/3\n", 3),  # sums to 5/6
+            ("bits 2\n", 1),  # no mass
+            ("bits 2\n0 0/1\n", 2),
+        ],
+    )
+    def test_malformed_text_is_decode_error(self, text, position):
+        with pytest.raises(DecodeError) as info:
+            dist_from_text(text)
+        assert info.value.position == position
+
+    @given(st.text(alphabet="bits 0123456789abcdefABx/+-_\n\t", max_size=80))
+    def test_fuzz_text_decodes_or_raises_decode_error(self, text):
+        try:
+            d = dist_from_text(text)
+        except (DecodeError, ParameterError):
+            return
+        assert dist_from_text(dist_to_text(d)) == d
+
+    @given(
+        bits=st.integers(0, 6),
+        lines=st.lists(
+            st.tuples(st.integers(0, 80), st.integers(0, 9), st.integers(0, 9)),
+            max_size=8,
+        ),
+    )
+    def test_fuzz_near_valid_text(self, bits, lines):
+        text = f"bits {bits}\n" + "".join(f"{v:x} {a}/{b}\n" for v, a, b in lines)
+        try:
+            d = dist_from_text(text)
+        except (DecodeError, ParameterError):
+            return
+        assert sum(d.probs.values()) == 1 and len(d.counts) == len(lines)
+
+
+def _random_map(seed, n, out_bits, spread):
+    """fn(x1, x2) from a random table whose values use ``spread`` of the
+    out_bits, so counts range from near-point-mass to near-uniform."""
+    rng = np.random.default_rng(seed)
+    cells = rng.integers(0, 1 << spread, size=(1 << n, 1 << n)).tolist()
+    shift = int(rng.integers(0, out_bits - spread + 1))
+    return lambda x1, x2: cells[x1][x2] << shift
+
+
+class TestAgainstFractionReference:
+    """Byte-identical text and equal min-entropy, SD and epsilon against
+    the Fraction-per-outcome distributions in tests/oracles.py."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        out_bits=st.integers(1, 12),
+        spread=st.integers(0, 12),
+        k_frac=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+    )
+    def test_pushforward_pipeline_identical(self, seed, n, out_bits, spread, k_frac):
+        spread = min(spread, out_bits)
+        fn = _random_map(seed, n, out_bits, spread)
+        other = _random_map(seed + 1, n, out_bits, min(out_bits, spread + 1))
+        d, ref = pushforward(fn, n, out_bits), oracles.fraction_pushforward(fn, n, out_bits)
+        text = dist_to_text(d)
+        assert text == oracles.fraction_dist_to_text(ref)
+        back = dist_from_text(text)
+        assert back.probs == ref.probs and dist_to_text(back) == text
+        assert min_entropy(d) == oracles.fraction_min_entropy(ref)
+        d2 = pushforward(other, n, out_bits)
+        ref2 = oracles.fraction_pushforward(other, n, out_bits)
+        u, ref_u = Dist.uniform(out_bits), oracles.FractionDist.uniform(out_bits)
+        for a, b, ref_a, ref_b in [(d, d2, ref, ref2), (d, u, ref, ref_u)]:
+            want = oracles.fraction_statistical_distance(ref_a, ref_b)
+            assert statistical_distance(a, b) == want
+        for k in (out_bits * k_frac, round(out_bits * k_frac), 1.5 if out_bits > 1 else 0):
+            assert epsilon_close_to_min_entropy(d, k) == oracles.fraction_epsilon_close(ref, k)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_extend_pair_pushforward_identical(self, n):
+        params = field_params(n)
+        count = min(4, params.order - 1)
+
+        def pair(x1, x2):
+            outs = extend(ExtendRequest(x1, x2, count, params)).outputs
+            return outs[0] << n | outs[-1]
+
+        d, ref = pushforward(pair, n, 2 * n), oracles.fraction_pushforward(pair, n, 2 * n)
+        assert dist_to_text(d) == oracles.fraction_dist_to_text(ref)
+        assert min_entropy(d) == oracles.fraction_min_entropy(ref)
+        u, ru = Dist.uniform(2 * n), oracles.FractionDist.uniform(2 * n)
+        assert statistical_distance(d, u) == oracles.fraction_statistical_distance(ref, ru)
+        assert epsilon_close_to_min_entropy(d, 2 * n) == oracles.fraction_epsilon_close(ref, 2 * n)
