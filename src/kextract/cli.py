@@ -295,6 +295,7 @@ def _cmd_dist_push(args) -> int:
             raise ParameterError(f"--map {args.map} needs --n")
         n = args.n
         params = field_params(n)
+        stats.check_pushforward_budget(n, budget)  # before any N-entry table
         if args.map == "xor":
             dist = stats.pushforward(lambda x, y: x ^ y, n, n, budget=budget)
         elif args.map == "extend":

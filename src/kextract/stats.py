@@ -72,6 +72,16 @@ class Dist:
         return cls(domain_bits, {outcome: 1})
 
 
+def check_pushforward_budget(n: int, budget: int = DEFAULT_ENUM_BUDGET) -> None:
+    """Raise ResourceError when the 2^(2n) evaluations of a pushforward
+    over n-bit inputs exceed ``budget``."""
+    evals = 1 << (2 * n)
+    if evals > budget:
+        raise ResourceError(
+            f"pushforward needs {evals} evaluations, over budget {budget}"
+        )
+
+
 def pushforward(
     fn: Callable[[int, int], int],
     n: int,
@@ -83,11 +93,7 @@ def pushforward(
     Enumerates all 2^(2n) input pairs; rejects the run up front when that
     exceeds ``budget`` evaluations.
     """
-    evals = 1 << (2 * n)
-    if evals > budget:
-        raise ResourceError(
-            f"pushforward needs {evals} evaluations, over budget {budget}"
-        )
+    check_pushforward_budget(n, budget)
     pairs = itertools.product(range(1 << n), repeat=2)
     return Dist(out_bits, Counter(itertools.starmap(fn, pairs)))
 
@@ -161,26 +167,6 @@ def _decimal(digits: str, idx: int) -> int:
         raise DecodeError(f"{len(digits)}-digit number is too long", idx) from None
 
 
-def _first_bad_line(lines: list[str], domain_bits: int) -> DecodeError:
-    """The error for the first of lines[1:] that is not an outcome below
-    2^domain_bits, unlisted before it, with a mass num/den, den > 0."""
-    seen = set()
-    for idx, line in enumerate(lines[1:], start=1):
-        m = _LINE.fullmatch(line)
-        if m is None:
-            return DecodeError(f"unreadable distribution line {line!r}", idx)
-        outcome = int(m[1], 16)
-        if outcome >> domain_bits:
-            return DecodeError(f"outcome {m[1]} does not fit in {domain_bits} bits", idx)
-        if outcome in seen:
-            return DecodeError(f"outcome {m[1]} listed twice", idx)
-        seen.add(outcome)
-        _decimal(m[2], idx)  # raises on a numerator past int()'s digit limit
-        if _decimal(m[3], idx) == 0:
-            return DecodeError(f"zero denominator in {line!r}", idx)
-    raise AssertionError("every line is well formed")
-
-
 def dist_from_text(text: str) -> Dist:
     """Parse ``dist_to_text`` output.  Blank lines are skipped; the rest
     are the header ``bits <decimal>`` and one ``<hex> <num>/<den>`` line
@@ -193,18 +179,26 @@ def dist_from_text(text: str) -> Dist:
     if header is None:
         raise DecodeError("missing or unreadable 'bits <n>' header", 0)
     domain_bits = _decimal(header[1], 0)
-    rows = [_LINE.fullmatch(line) for line in lines[1:]]
-    if None in rows:
-        raise _first_bad_line(lines, domain_bits)
-    masses = {int(m[1], 16): m.group(2, 3) for m in rows}  # outcome -> digits
+    masses = {}  # outcome -> (numerator, denominator) digit strings
+    number = {}  # digit string -> int, each distinct string converted once
+    for idx, line in enumerate(lines[1:], start=1):
+        m = _LINE.fullmatch(line)
+        if m is None:
+            raise DecodeError(f"unreadable distribution line {line!r}", idx)
+        outcome = int(m[1], 16)
+        if outcome >> domain_bits:
+            raise DecodeError(f"outcome {m[1]} does not fit in {domain_bits} bits", idx)
+        if outcome in masses:
+            raise DecodeError(f"outcome {m[1]} listed twice", idx)
+        num, den = m.group(2, 3)
+        if den not in number:
+            number[den] = _decimal(den, idx)
+            if number[den] == 0:
+                raise DecodeError(f"zero denominator in {line!r}", idx)
+        if num not in number:
+            number[num] = _decimal(num, idx)
+        masses[outcome] = num, den
     dens = {den for _, den in masses.values()}
-    try:  # each distinct digit string once
-        number = {s: int(s) for s in dens.union(num for num, _ in masses.values())}
-    except ValueError:  # past sys.get_int_max_str_digits()
-        raise _first_bad_line(lines, domain_bits) from None
-    too_wide = max(masses, default=0) >> domain_bits
-    if len(masses) < len(rows) or too_wide or 0 in {number[den] for den in dens}:
-        raise _first_bad_line(lines, domain_bits)
     total = math.lcm(*(number[den] for den in dens))
     scale = {den: total // number[den] for den in dens}
     counts = {v: number[num] * scale[den] for v, (num, den) in masses.items()}

@@ -415,6 +415,20 @@ class TestDistCommands:
         code, out, err = run(capsys, "dist", "push", "--map", "xor", "--n", "2")
         assert code == 2 and out == "" and "budget 0" in err
 
+    @pytest.mark.parametrize("n", ["13", "40", "64"])
+    @pytest.mark.parametrize(
+        "flags", [["extend", "--i", "1"], ["extend-pair", "--i", "1", "--j", "2"]]
+    )
+    def test_push_over_budget_exits_before_building_tables(
+        self, capsys, monkeypatch, n, flags
+    ):
+        def no_table(*args):  # an N-entry table at n = 64 would exhaust memory
+            raise AssertionError("multiples table built before the budget check")
+
+        monkeypatch.setattr("kextract.cli.multiples", no_table)
+        code, out, err = run(capsys, "dist", "push", "--n", n, "--map", *flags)
+        assert code == 2 and out == "" and "over budget 16777216" in err
+
     @pytest.mark.parametrize(
         "text",
         ["bits 2\n0 1/0\n", "bits -1\n", "bits 2\n0 1/2\n0 1/2\n", "bits 2\n4 1/1\n"],
