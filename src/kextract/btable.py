@@ -24,8 +24,18 @@ for every table as soon as M >= 2.
 Exhaustive verification walks every size-S row subset and, per color,
 bounds the worst column subset by the sum of the S largest per-column
 counts, which is exactly the maximum over all size-S column subsets.
-``_scan_blocks`` does this for ``btable`` and ``condense`` in blocks of
-lexicographic row subsets that double up to SCAN_BLOCK_ENTRIES counts.
+``_scan_blocks`` does this for ``btable`` and ``condense`` on a stack of
+T grids at once, in blocks of lexicographic row subsets that double up
+to SCAN_BLOCK_ENTRIES counts; ``_first_violation`` drops each grid from
+the stack at its first violation.  The verifiers and ``condense`` scan
+one grid (T = 1).  ``search_table`` scans chunks of candidate tables
+that double from one up to SCAN_BLOCK_ENTRIES cells (and one row
+subset's pair counts), so a chunk shares the cost of each block.  On a
+2-core Xeon this took the benchmark's search workload (searches at
+n=3-4, m=1-2, S=4-6) from ~22 to ~123 searches/s, against one table
+at a time.  What is left is mostly drawing each random trial from its
+own generator keyed by (seed, t), ~45 us a trial, the price of
+reproducible trials.
 Sampled verification of both draws its rectangles from ``_sampled_rects``.
 For M <= 2 the single-color bound holds unscanned: count <= S^2 <= 2S^2/M.
 """
@@ -61,6 +71,16 @@ TABLE_MAGIC = b"KXTB"
 TABLE_VERSION = 1
 
 
+def _check_dims(n: int, m: int) -> None:
+    """A dense table needs 1 <= n <= DENSE_LIMIT_N and 1 <= m <= MAX_M."""
+    if n < 1:
+        raise ParameterError(f"table needs n >= 1, got {n}")
+    if n > DENSE_LIMIT_N:
+        raise ResourceError(f"n={n} exceeds the dense-table limit n <= {DENSE_LIMIT_N}")
+    if not 1 <= m <= MAX_M:
+        raise ParameterError(f"table needs 1 <= m <= {MAX_M}, got {m}")
+
+
 @dataclass(eq=False)
 class Table:
     """An N x N grid of m-bit colors, immutable after construction.
@@ -75,14 +95,7 @@ class Table:
     provenance: str = "constructed(unnamed)"
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ParameterError(f"table needs n >= 1, got {self.n}")
-        if self.n > DENSE_LIMIT_N:
-            raise ResourceError(
-                f"n={self.n} exceeds the dense-table limit n <= {DENSE_LIMIT_N}"
-            )
-        if not 1 <= self.m <= MAX_M:
-            raise ParameterError(f"table needs 1 <= m <= {MAX_M}, got {self.m}")
+        _check_dims(self.n, self.m)
         N = 1 << self.n
         cells = np.ascontiguousarray(self.cells, dtype=np.uint32)
         if cells.shape == (N * N,):
@@ -186,26 +199,32 @@ def _check_budget(N: int, S: int, budget: Optional[int], what: str) -> None:
         )
 
 
-def _scan_blocks(grid: np.ndarray, K: int, S: int):
-    """Yield (subsets, tops) for all size-S row subsets, in blocks: subsets
-    (B, S) in lexicographic order, tops (B, K) each label's sum of its S
-    largest per-column counts over the subset's rows."""
-    N = grid.shape[0]
-    slots = grid.astype(np.intp) + np.arange(N) * K  # (x, y) -> y*K + label
+def _scan_blocks(grids: np.ndarray, K: int, S: int):
+    """Yield (subsets, tops) for all size-S row subsets of T stacked N x N
+    grids, in blocks: subsets (B, S) in lexicographic order, tops (T, B, K)
+    each grid's per-label sum of its S largest per-column counts over the
+    subset's rows.  Sending back a (T,) boolean mask drops the grids it
+    marks False from later blocks."""
+    N = grids.shape[1]
+    slots = grids.astype(np.intp) * N + np.arange(N)  # (t, x, y) -> label*N + y
     rows = itertools.combinations(range(N), S)
-    size, largest = 1, max(1, SCAN_BLOCK_ENTRIES // (N * K))
-    while True:
+    size = 1
+    while len(slots):
+        largest = max(1, SCAN_BLOCK_ENTRIES // (len(slots) * N * K))
         block = itertools.chain.from_iterable(itertools.islice(rows, size))
         subsets = np.fromiter(block, np.intp).reshape(-1, S)
         if not len(subsets):
             return
-        counts = np.zeros((len(subsets), N, K), dtype=np.uint16)
+        T, B = len(slots), len(subsets)
+        counts = np.zeros((T, B, K, N), dtype=np.uint16)
         flat = counts.reshape(-1)
-        base = np.arange(len(subsets))[:, None] * (N * K)
+        base = np.arange(T * B).reshape(T, B, 1) * (N * K)
         for p in range(S):  # one row per subset, so no index repeats
-            flat[base + slots[subsets[:, p]]] += 1
-        top = np.partition(counts, N - S, axis=1)[:, N - S:, :]
-        yield subsets, top.sum(axis=1, dtype=np.int64)
+            flat[base + slots[:, subsets[:, p]]] += 1
+        top = np.partition(counts, N - S, axis=3)[..., N - S:]
+        keep = yield subsets, top.sum(axis=3, dtype=np.int64)
+        if keep is not None:
+            slots = slots[keep]
         size = min(2 * size, largest)
 
 
@@ -216,21 +235,55 @@ def _top_columns(grid, B1, label, S: int) -> tuple:
     return tuple(sorted(order[:S]))
 
 
-def _first_violation(grid, K, S, most):
-    """First (B1, B2, label, count) with count > most in scan order, else None."""
-    for subsets, tops in _scan_blocks(grid, K, S):
-        hits = np.flatnonzero(tops > most)
-        if hits.size:
-            b, label = divmod(int(hits[0]), K)
-            B1 = tuple(subsets[b].tolist())
-            return B1, _top_columns(grid, B1, label, S), label, int(tops[b, label])
-    return None
+def _first_violation(grids, K, S, most) -> list:
+    """Each grid's first (B1, label, count) with count > most in scan order
+    (lexicographic B1, then label), else None; a grid leaves the scan at
+    its first violation."""
+    found = [None] * len(grids)
+    live = np.arange(len(grids))
+    blocks = _scan_blocks(grids, K, S)
+    keep = None
+    try:
+        while len(live):
+            subsets, tops = blocks.send(keep)
+            over = (tops > most).reshape(len(live), -1)
+            keep = None
+            if over.any():
+                hit = over.any(axis=1)
+                first = over.argmax(axis=1)
+                for t in np.flatnonzero(hit):
+                    b, label = divmod(int(first[t]), K)
+                    found[live[t]] = tuple(subsets[b].tolist()), label, int(tops[t, b, label])
+                keep = ~hit
+                live = live[keep]
+    except StopIteration:
+        pass
+    return found
+
+
+def _first_exhaustive(grid, K, S, most):
+    """One grid's first (B1, B2, label, count) with count > most, else None."""
+    hit = _first_violation(grid[None], K, S, most)[0]
+    if hit is None:
+        return None
+    B1, label, count = hit
+    return B1, _top_columns(grid, B1, label, S), label, count
+
+
+def _check_trials(trials: int, seed) -> None:
+    """Random trials need a positive count and a nonnegative seed."""
+    if trials < 1:
+        raise ParameterError(f"trials must be >= 1, got {trials}")
+    user_seed = seed[0] if isinstance(seed, list) else seed  # [seed, i, j] keys a shift pair
+    if user_seed is not None and user_seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {user_seed}")
 
 
 def _sampled_rects(grid: np.ndarray, K: int, S: int, trials: int, seed):
     """Yield (B1, B2, counts) for ``trials`` random S x S rectangles: B1 then
     B2 drawn as sorted S-subsets of range(N), counts (K,) the cells of each
     label in B1 x B2."""
+    _check_trials(trials, seed)
     N = grid.shape[0]
     rng = np.random.default_rng(seed)
     for _ in range(trials):
@@ -247,6 +300,13 @@ def _first_sampled_violation(grid, K, S, most, trials, seed):
         if hits.size:
             return B1, B2, int(hits[0]), int(counts[hits[0]])
     return None
+
+
+def _paired(cells: np.ndarray, M: int, i: int, j: int) -> np.ndarray:
+    """Pair labels T(x+i, y) * M + T(x+j, y) of (..., N, N) cells."""
+    rows = np.arange(cells.shape[-2])
+    shifted = lambda k: cells[..., (rows + k) % len(rows), :].astype(np.int64)
+    return shifted(i) * M + shifted(j)
 
 
 def verify_color_bound(
@@ -270,7 +330,7 @@ def verify_color_bound(
     most = 2 * S * S // M  # count * M <= 2 S^2, exact integers
     if mode == "exhaustive":
         _check_budget(N, S, budget, "single-color verification")
-        hit = None if M <= 2 else _first_violation(table.cells, M, S, most)
+        hit = None if M <= 2 else _first_exhaustive(table.cells, M, S, most)
     elif mode == "sampled":
         hit = _first_sampled_violation(table.cells, M, S, most, trials, seed)
     else:
@@ -303,11 +363,10 @@ def verify_shift_pair_bound(
     most = 2 * S * S // (M * M)  # count * M^2 <= 2 S^2, exact integers
     if mode == "exhaustive":
         _check_budget(N, S, budget, "shifted-pair verification")
-    shifted = lambda k: table.cells[(np.arange(N) + k) % N].astype(np.int64)
     for i, j in itertools.permutations(range(1, spec.shift_bound + 1), 2):
-        paired = shifted(i) * M + shifted(j)  # label T(x+i, y) * M + T(x+j, y)
+        paired = _paired(table.cells, M, i, j)
         if mode == "exhaustive":
-            hit = _first_violation(paired, M * M, S, most)
+            hit = _first_exhaustive(paired, M * M, S, most)
         else:
             hit = _first_sampled_violation(
                 paired, M * M, S, most, trials,
@@ -328,9 +387,28 @@ def verify_table(table, spec, mode="exhaustive", **kw) -> tuple[VerifyResult, Ve
     )
 
 
-def _miss_ratio(result: VerifyResult, spec: BalanceSpec, M: int) -> float:
-    mult = M if len(result.witness) == 3 else M * M
-    return result.count * mult / (2 * spec.S * spec.S)
+def _first_misses(cells: np.ndarray, M: int, spec: BalanceSpec) -> list:
+    """Each stacked table's (count/bound ratio, condition) at its first
+    violation in the exhaustive verifiers' order (the single-color scan,
+    then each shift pair in permutation order), else None: it passes."""
+    S = spec.S
+    misses = [None] * len(cells)
+    live = list(range(len(cells)))
+    pairs = itertools.permutations(range(1, spec.shift_bound + 1), 2)
+    # M <= 2 needs no single-color scan: count <= S^2 <= 2S^2/M
+    scans = itertools.chain([] if M <= 2 else [None], pairs)
+    for pair in scans:
+        if not live:
+            break
+        if pair is None:
+            condition, grids, K = "single-color", cells[live], M
+        else:
+            condition, grids, K = "shifted-pair", _paired(cells[live], M, *pair), M * M
+        for t, hit in zip(live, _first_violation(grids, K, S, 2 * S * S // K)):
+            if hit is not None:
+                misses[t] = hit[2] * K / (2 * S * S), condition
+        live = [t for t in live if misses[t] is None]
+    return misses
 
 
 def search_table(
@@ -351,46 +429,55 @@ def search_table(
     trials are independent jobs.  exhaustive strategy: enumerate all
     M^(N^2) cell arrays in lexicographic order and return the least
     passing one (or prove none exists).
+
+    Candidates are verified in chunks that double from one table up to
+    as many as fit in SCAN_BLOCK_ENTRIES cells and SCAN_BLOCK_ENTRIES pair
+    counts of one row subset.  The first passing candidate wins; the
+    nearest miss is the least ratio of a first violation's count to its
+    bound, the earlier trial on ties.
     """
+    _check_dims(n, m)
     N, M = 1 << n, 1 << m
     if strategy == "random":
+        _check_trials(trials, seed)
         if seed is None:
             seed = secrets.randbits(63)
-        best = (math.inf, -1, "")
-        for t in range(trials):
-            rng = np.random.default_rng([seed, t])
-            cells = rng.integers(0, M, size=(N, N), dtype=np.uint32)
-            table = Table(n, m, cells, f"searched(seed={seed},trial={t})")
-            r1 = verify_color_bound(table, spec, budget=pair_budget)
-            if not r1.ok:
-                ratio = _miss_ratio(r1, spec, M)
-                best = min(best, (ratio, t, "single-color"), key=lambda b: b[0])
-                continue
-            r2 = verify_shift_pair_bound(table, spec, budget=pair_budget)
-            if not r2.ok:
-                ratio = _miss_ratio(r2, spec, M)
-                best = min(best, (ratio, t, "shifted-pair"), key=lambda b: b[0])
-                continue
-            return table
-        return SearchFailure(trials, best[0], best[1], best[2])
-    if strategy == "exhaustive":
+        candidates = (
+            np.random.default_rng([seed, t]).integers(0, M, size=(N, N), dtype=np.uint32)
+            for t in range(trials)
+        )
+        provenance = lambda t: f"searched(seed={seed},trial={t})"
+    elif strategy == "exhaustive":
         total = M ** (N * N)
         limit = DEFAULT_TABLE_BUDGET if table_budget is None else table_budget
         if total > limit:
             raise ResourceError(
                 f"exhaustive search over {total} tables exceeds budget {limit}"
             )
-        tried = 0
-        for flat in itertools.product(range(M), repeat=N * N):
-            tried += 1
-            table = Table(
-                n, m, np.array(flat, dtype=np.uint32), "searched(exhaustive)"
-            )
-            r1, r2 = verify_table(table, spec, budget=pair_budget)
-            if r1.ok and r2.ok:
-                return table
+        candidates = itertools.product(range(M), repeat=N * N)
+        provenance = lambda t: "searched(exhaustive)"
+    else:
+        raise ParameterError(f"unknown search strategy {strategy!r}")
+    if spec.S > N:
+        raise ParameterError(f"S={spec.S} exceeds N={N}")
+    _check_budget(N, spec.S, pair_budget, "single-color verification")
+    tried, best = 0, (math.inf, -1, "")
+    size, largest = 1, max(1, SCAN_BLOCK_ENTRIES // (N * max(N, M * M)))
+    while True:
+        chunk = itertools.islice(candidates, size)
+        cells = np.array(list(chunk), dtype=np.uint32).reshape(-1, N, N)
+        if not len(cells):
+            break
+        for k, miss in enumerate(_first_misses(cells, M, spec)):
+            if miss is None:
+                return Table(n, m, cells[k].copy(), provenance(tried + k))
+            if miss[0] < best[0]:
+                best = miss[0], tried + k, miss[1]
+        tried += len(cells)
+        size = min(2 * size, largest)
+    if strategy == "exhaustive":
         return SearchFailure(tried, math.inf, -1, "none")
-    raise ParameterError(f"unknown search strategy {strategy!r}")
+    return SearchFailure(tried, *best)
 
 
 def apply_table(

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 analytic negative (a violation, a failed
-search, or a DEPENDENT verdict), 2 usage or parameter error.
+search, or a DEPENDENT verdict), 2 usage, parameter, input or budget
+error, 3 internal error (any other exception, reported in one line).
 
 Strings are lowercase hex with no prefix; an n-bit input is n/4 hex
 digits.  Inputs whose bit length is not a multiple of 4 come from raw
@@ -245,11 +246,18 @@ def _read_file(path: str) -> bytes:
         return fh.read()
 
 
+def _read_text(path: str) -> str:
+    try:
+        return _read_file(path).decode()
+    except UnicodeDecodeError as exc:
+        raise DecodeError(f"{path}: not UTF-8 text", exc.start) from None
+
+
 def _cmd_estimate_k(args) -> int:
     comp = kproxy.get_backend(args.backend)
     if args.manifest:
-        with open(args.manifest) as fh:
-            paths = [line.strip() for line in fh if line.strip()]
+        lines = _read_text(args.manifest).splitlines()
+        paths = [line.strip() for line in lines if line.strip()]
         for path in paths:
             print(f"{path} {kproxy.k_estimate(_read_file(path), comp)}")
         return 0
@@ -328,11 +336,7 @@ def _cmd_dist_push(args) -> int:
 
 
 def _read_dist(path: str) -> stats.Dist:
-    try:
-        text = _read_file(path).decode()
-    except UnicodeDecodeError as exc:
-        raise DecodeError(f"{path}: not UTF-8 text", exc.start) from None
-    return stats.dist_from_text(text)
+    return stats.dist_from_text(_read_text(path))
 
 
 def _cmd_dist_mindent(args) -> int:
@@ -517,6 +521,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug, not an analytic negative: never exit 1
+        message = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"internal error: {message}", file=sys.stderr)
+        return 3
 
 
 def run() -> None:

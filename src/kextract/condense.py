@@ -38,6 +38,16 @@ DEFAULT_C = 2
 DEFAULT_GAMMA = 0.25
 
 
+def _check_balance_params(delta, epsilon, c) -> None:
+    """0 < delta <= 1, 0 < epsilon < 1 and c >= 1; NaN fails each test."""
+    if not 0 < delta <= 1:
+        raise ParameterError(f"delta={delta} must be in (0, 1]")
+    if not 0 < epsilon < 1:
+        raise ParameterError(f"epsilon={epsilon} must be in (0, 1)")
+    if not c >= 1:
+        raise ParameterError(f"c={c} must be >= 1")
+
+
 @dataclass(frozen=True)
 class CondenserParams:
     """Interface parameters of a two-source condenser table."""
@@ -49,12 +59,7 @@ class CondenserParams:
     m: int
 
     def __post_init__(self):
-        if not 0 < self.delta <= 1:
-            raise ParameterError(f"delta={self.delta} must be in (0, 1]")
-        if not 0 < self.epsilon < 1:
-            raise ParameterError(f"epsilon={self.epsilon} must be in (0, 1)")
-        if self.c < 1:
-            raise ParameterError(f"c={self.c} must be >= 1")
+        _check_balance_params(self.delta, self.epsilon, self.c)
         if not 1 <= self.m <= self.n:
             raise ParameterError(f"m={self.m} must be in 1..n={self.n}")
 
@@ -149,16 +154,13 @@ def verify_balance(
     that reaches the largest count; sampled mode the rectangle sampler,
     where they come from the first sampled rectangle that reaches it.
     """
+    _check_balance_params(delta, epsilon, c)
     N, M = table.N, table.M
     A = sorted(set(colors))
     for a in A:
         if not 0 <= a < M:
             raise ParameterError(f"color {a} not in 0..{M - 1}")
-    R = math.ceil(2.0 ** (delta * table.n))
-    if R > N:
-        raise ParameterError(
-            f"threshold side ceil(2^(delta*n)) = {R} exceeds N = {N}"
-        )
+    R = math.ceil(2.0 ** (delta * table.n))  # <= N, since delta <= 1
     if mode not in ("exhaustive", "sampled"):
         raise ParameterError(f"unknown mode {mode!r}")
     bound = color_bound_fraction(len(A), M, delta, epsilon, c) * R * R
@@ -169,10 +171,10 @@ def verify_balance(
     best_count, best = 0, None
     if mode == "exhaustive":
         _check_budget(N, R, budget, "colored-balance verification")
-        for subsets, tops in _scan_blocks(indicator, 2, R):  # label 1 marks A
-            b = int(np.argmax(tops[:, 1]))
-            if tops[b, 1] > best_count:
-                best_count, B1 = int(tops[b, 1]), tuple(subsets[b].tolist())
+        for subsets, tops in _scan_blocks(indicator[None], 2, R):  # label 1 marks A
+            b = int(np.argmax(tops[0, :, 1]))
+            if tops[0, b, 1] > best_count:
+                best_count, B1 = int(tops[0, b, 1]), tuple(subsets[b].tolist())
                 best = B1, _top_columns(indicator, B1, 1, R)
     else:
         for B1, B2, counts in _sampled_rects(indicator, 2, R, trials, seed):

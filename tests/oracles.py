@@ -385,3 +385,56 @@ def fraction_dist_to_text(d):
 def extend_outputs(x1: int, x2: int, count: int, modulus: int) -> tuple:
     """z_i = x1 + i*x2 for i = 1..count, one schoolbook product each."""
     return tuple(x1 ^ gf_mul(i, x2, modulus) for i in range(1, count + 1))
+
+
+# -- one-trial-at-a-time search: reference for the chunked search ----------
+#
+# The library's earlier search loop, kept unchanged so the chunked search
+# can be held to the same hits, provenance and nearest misses.  It verifies
+# one table at a time with the library's verifiers, whose scans are held
+# to the row-subset-at-a-time references above.
+
+
+def per_trial_search(
+    n, m, spec, strategy="random", *, trials=10**4, seed=None,
+    table_budget=None, pair_budget=None,
+):
+    from kextract.btable import (
+        DEFAULT_TABLE_BUDGET, SearchFailure, Table, verify_color_bound,
+        verify_shift_pair_bound, verify_table,
+    )
+
+    def miss_ratio(result, M):
+        mult = M if len(result.witness) == 3 else M * M
+        return result.count * mult / (2 * spec.S * spec.S)
+
+    N, M = 1 << n, 1 << m
+    if strategy == "random":
+        best = (math.inf, -1, "")
+        for t in range(trials):
+            rng = np.random.default_rng([seed, t])
+            cells = rng.integers(0, M, size=(N, N), dtype=np.uint32)
+            table = Table(n, m, cells, f"searched(seed={seed},trial={t})")
+            r1 = verify_color_bound(table, spec, budget=pair_budget)
+            if not r1.ok:
+                ratio = miss_ratio(r1, M)
+                best = min(best, (ratio, t, "single-color"), key=lambda b: b[0])
+                continue
+            r2 = verify_shift_pair_bound(table, spec, budget=pair_budget)
+            if not r2.ok:
+                ratio = miss_ratio(r2, M)
+                best = min(best, (ratio, t, "shifted-pair"), key=lambda b: b[0])
+                continue
+            return table
+        return SearchFailure(trials, best[0], best[1], best[2])
+    total = M ** (N * N)
+    limit = DEFAULT_TABLE_BUDGET if table_budget is None else table_budget
+    assert total <= limit
+    tried = 0
+    for flat in itertools.product(range(M), repeat=N * N):
+        tried += 1
+        table = Table(n, m, np.array(flat, dtype=np.uint32), "searched(exhaustive)")
+        r1, r2 = verify_table(table, spec, budget=pair_budget)
+        if r1.ok and r2.ok:
+            return table
+    return SearchFailure(tried, math.inf, -1, "none")

@@ -215,9 +215,9 @@ class TestScanKernel:
         grid = np.random.default_rng(seed).integers(0, K, size=(16, 16))
         # a threshold just under the grid's largest count puts the first
         # violation deep in the scan; at the largest count the scan passes
-        peak = max(int(t.max()) for _, t in btable._scan_blocks(grid, K, S))
+        peak = max(int(t.max()) for _, t in btable._scan_blocks(grid[None], K, S))
         most = peak - data.draw(st.integers(0, 3), label="below_peak")
-        got = btable._first_violation(grid, K, S, most)
+        got = btable._first_exhaustive(grid, K, S, most)
         want = oracles.lex_exhaustive_scan(grid, K, S, lambda c: c > most)
         assert got == want
 
@@ -226,11 +226,66 @@ class TestScanKernel:
         # only the last S rows hold an all-one-label S x S rectangle
         grid = np.random.default_rng(K).integers(0, K, size=(16, 16))
         grid[16 - S:, 3:3 + S] = K - 1
-        got = btable._first_violation(grid, K, S, S * S - 1)
+        got = btable._first_exhaustive(grid, K, S, S * S - 1)
         assert got == oracles.lex_exhaustive_scan(
             grid, K, S, lambda c: c > S * S - 1
         )
         assert got[0] == tuple(range(16 - S, 16)) and got[2:] == (K - 1, S * S)
+
+    @settings(max_examples=20)
+    @given(
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=6),
+        K=st.sampled_from([2, 4, 16]),
+        S=st.integers(4, 8),
+        data=st.data(),
+    )
+    def test_stacked_grids_match_one_at_a_time(self, seeds, K, S, data):
+        # one threshold for the whole stack, just under the lowest peak:
+        # grids resolve at different depths, or pass
+        grids = np.stack([
+            np.random.default_rng(s).integers(0, K, size=(16, 16)) for s in seeds
+        ])
+        peaks = [
+            max(int(t.max()) for _, t in btable._scan_blocks(g[None], K, S))
+            for g in grids
+        ]
+        most = min(peaks) - data.draw(st.integers(0, 3), label="below_peak")
+        want = [oracles.lex_exhaustive_scan(g, K, S, lambda c: c > most) for g in grids]
+        want = [w and (w[0], w[2], w[3]) for w in want]
+        assert btable._first_violation(grids, K, S, most) == want
+
+    def test_stacked_grids_resolve_in_different_blocks(self):
+        # grid 0 violates in the first subset, grid 1 only in the last,
+        # grid 2 midway, grid 3 nowhere; blocks double from one subset
+        K, S = 4, 6
+        rng = np.random.default_rng(7)
+        grids = rng.integers(0, K, size=(4, 16, 16)) % 2  # labels 0 and 1
+        grids[0, :S, :S] = 3
+        grids[1, 16 - S:, 10:] = 3
+        grids[2, [0, 5, 6, 7, 8, 9], :S] = 3
+        most = S * S - 1
+        blocks = list(btable._scan_blocks(grids, K, S))
+        depth = [
+            next((k for k, (_, tops) in enumerate(blocks) if tops[t].max() > most), None)
+            for t in range(4)
+        ]
+        assert depth[0] == 0 and depth[1] == len(blocks) - 1
+        assert 0 < depth[2] < depth[1] and depth[3] is None
+        got = btable._first_violation(grids, K, S, most)
+        want = [oracles.lex_exhaustive_scan(g, K, S, lambda c: c > most) for g in grids]
+        assert got == [w and (w[0], w[2], w[3]) for w in want]
+        assert got[0][0] == tuple(range(S)) and got[1][0] == tuple(range(16 - S, 16))
+        assert got[2][0] == (0, 5, 6, 7, 8, 9) and got[3] is None
+
+    def test_resolved_grids_leave_the_scan(self):
+        # after grid 0 resolves in the first block, later blocks hold grid 1 only
+        grids = np.zeros((2, 8, 8), dtype=np.int64)
+        grids[1] = np.arange(8) % 2
+        blocks = btable._scan_blocks(grids, 2, 3)
+        _, tops = next(blocks)
+        assert tops.shape == (2, 1, 2)
+        _, tops = blocks.send(np.array([False, True]))
+        assert tops.shape == (1, 2, 2)
 
     @pytest.mark.parametrize("S", range(1, 9))
     def test_two_colors_certified_without_scan(self, S):
@@ -283,6 +338,13 @@ class TestScanKernel:
                 break
         assert verify_shift_pair_bound(t, spec, "sampled", trials=40, seed=seed) == want
 
+    @pytest.mark.parametrize("trials,seed", [(0, 1), (-5, 1), (5, -1)])
+    def test_sampled_verifiers_need_trials_and_seed_in_range(self, trials, seed):
+        t = random_table(3, 2, 0)
+        for check in (verify_color_bound, verify_shift_pair_bound):
+            with pytest.raises(ParameterError):
+                check(t, SPEC34, "sampled", trials=trials, seed=seed)
+
     def test_memory_bounded_for_many_labels(self):
         # n=6, m=8: M^2 = 65536 pair labels; one (N, N, M^2) one-hot array
         # alone would take 256 MiB
@@ -302,7 +364,101 @@ class TestScanKernel:
         assert count * t.M**2 > 2 * spec.S**2
 
 
+def assert_same_search(got, want):
+    """The same hit (cells and provenance) or the same failure, every field."""
+    if isinstance(want, Table):
+        assert isinstance(got, Table) and got == want
+        assert got.provenance == want.provenance
+    else:
+        assert isinstance(got, SearchFailure) and got == want
+
+
+def hit_trial(table: Table) -> int:
+    return int(table.provenance.rsplit("trial=", 1)[1].rstrip(")"))
+
+
 class TestSearch:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 4),
+        m=st.integers(1, 3),
+        r=st.integers(1, 3),
+        seed=st.integers(0, 2**63 - 1),
+        trials=st.integers(1, 70),
+        data=st.data(),
+    )
+    def test_random_search_matches_per_trial_loop(self, n, m, r, seed, trials, data):
+        # chunks double from one trial, so 1..70 trials straddle the
+        # chunk boundaries at 1, 3, 7, 15, 31 and 63
+        S = data.draw(st.integers(1, 1 << n), label="S")
+        spec = BalanceSpec(S, r)
+        assert_same_search(
+            search_table(n, m, spec, "random", trials=trials, seed=seed),
+            oracles.per_trial_search(n, m, spec, "random", trials=trials, seed=seed),
+        )
+
+    @pytest.mark.parametrize(
+        "n,m,S,r,seed,h",
+        [(3, 1, 6, 2, 5, 0), (2, 1, 3, 2, 1, 1), (4, 1, 8, 2, 3, 10), (3, 1, 4, 2, 2026, 332)],
+    )
+    def test_hit_at_first_and_last_trial(self, n, m, S, r, seed, h):
+        # h is the first passing trial; 332 lies past the 255-trial chunk boundary
+        spec = BalanceSpec(S, r)
+        hit = oracles.per_trial_search(n, m, spec, "random", trials=400, seed=seed)
+        assert hit_trial(hit) == h
+        # the hit as the last trial, and the search one trial short of it
+        for trials in (h + 1, h) if h else (1,):
+            assert_same_search(
+                search_table(n, m, spec, "random", trials=trials, seed=seed),
+                oracles.per_trial_search(n, m, spec, "random", trials=trials, seed=seed),
+            )
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("S,r", [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3)])
+    def test_exhaustive_search_matches_per_table_loop(self, m, S, r):
+        spec = BalanceSpec(S, r)
+        assert_same_search(
+            search_table(1, m, spec, "exhaustive"),
+            oracles.per_trial_search(1, m, spec, "exhaustive"),
+        )
+
+    @pytest.mark.parametrize(
+        "n,m,spec", [(6, 8, BalanceSpec(1, 2)), (9, 1, BalanceSpec(1, 3)), (4, 4, BalanceSpec(2, 2))]
+    )
+    def test_search_memory_bounded(self, n, m, spec):
+        # a chunk holds at most SCAN_BLOCK_ENTRIES cells and pair counts of
+        # one row subset, however many trials remain
+        tracemalloc.start()
+        try:
+            got = search_table(n, m, spec, "random", trials=40, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        want = oracles.per_trial_search(n, m, spec, "random", trials=40, seed=3)
+        assert_same_search(got, want)
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_random_search_needs_a_trial(self, trials):
+        with pytest.raises(ParameterError, match="trials must be >= 1"):
+            search_table(3, 1, SPEC34, "random", trials=trials, seed=1)
+
+    def test_random_search_rejects_negative_seed(self):
+        with pytest.raises(ParameterError, match="seed must be >= 0"):
+            search_table(3, 1, SPEC34, "random", trials=5, seed=-1)
+
+    def test_search_checks_dimensions_before_drawing(self):
+        with pytest.raises(ParameterError, match="n >= 1"):
+            search_table(-1, 1, SPEC34)
+        with pytest.raises(ResourceError, match="dense-table limit"):
+            search_table(13, 1, SPEC34, "exhaustive")
+        with pytest.raises(ParameterError, match="exceeds N=4"):
+            search_table(2, 1, BalanceSpec(5, 1), trials=1, seed=0)
+
+    def test_search_budget_message(self):
+        with pytest.raises(ResourceError, match="single-color verification needs 4900 subset pairs"):
+            search_table(3, 1, SPEC34, "random", trials=3, seed=0, pair_budget=4899)
+
     def test_random_search_reproducible(self):
         a = search_table(3, 1, SPEC34, "random", trials=2000, seed=2026)
         b = search_table(3, 1, SPEC34, "random", trials=2000, seed=2026)

@@ -268,6 +268,32 @@ class TestCondenseCommands:
         )
         assert code == 0 and out == "OK worst_ratio=0\n"
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--delta", "nan"), ("--delta", "0"), ("--delta", "1.5"), ("--epsilon", "nan"),
+         ("--epsilon", "1"), ("--epsilon", "0"), ("--c", "0"), ("--c", "-1")],
+    )
+    def test_verify_out_of_range_parameters_exit_2(self, capsys, standin_path, flag, value):
+        path, _ = standin_path
+        given = {"--delta": "0.5", "--epsilon": "0.25", "--c": "1", flag: value}
+        argv = [a for pair in given.items() for a in pair]
+        for mode in ("exhaustive", "sampled"):
+            code, out, err = run(
+                capsys, "condense", "verify", "--table", path, *argv,
+                "--mode", mode, "--seed", "1",
+            )
+            assert code == 2 and "OK" not in out
+            assert f"{flag[2:]}=" in err and "must be" in err
+
+    def test_sampled_verify_needs_trials_and_seed_in_range(self, capsys, standin_path):
+        path, _ = standin_path
+        common = ["condense", "verify", "--table", path, "--delta", "0.5",
+                  "--epsilon", "0.25", "--c", "1", "--mode", "sampled"]
+        code, out, err = run(capsys, *common, "--trials", "0", "--seed", "1")
+        assert code == 2 and "OK" not in out and "trials must be >= 1" in err
+        code, out, err = run(capsys, *common, "--seed", "-1")
+        assert code == 2 and "OK" not in out and "seed must be >= 0" in err
+
     def test_deficit_constant_table_prints_m(self, capsys, tmp_path):
         t = btable.Table.constant(3, 2, 3)
         path = tmp_path / "c.ktb"
@@ -332,6 +358,21 @@ class TestEstimateCommands:
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "estimate", "k", str(tmp_path / "nope"))
         assert code == 2
+
+    def test_manifest_lists_paths(self, capsys, tmp_path):
+        f = tmp_path / "empty.bin"
+        f.write_bytes(b"")
+        manifest = tmp_path / "man.txt"
+        manifest.write_text(f"\n  {f}  \r\n\n")
+        code, out, _ = run(capsys, "estimate", "k", "--manifest", str(manifest))
+        assert code == 0 and out == f"{f} 256\n"
+
+    def test_non_utf8_manifest_exits_2(self, capsys, tmp_path):
+        manifest = tmp_path / "man.txt"
+        manifest.write_bytes(b"a\xff\n")
+        code, out, err = run(capsys, "estimate", "k", "--manifest", str(manifest))
+        assert code == 2 and out == ""
+        assert "not UTF-8" in err and "position 1" in err
 
 
 class TestDistCommands:
@@ -451,6 +492,27 @@ class TestDistCommands:
         assert code == 2 and "--i" in err
 
 
+class TestExitCodes:
+    def test_unexpected_exception_exits_3_in_one_line(self, capsys, monkeypatch):
+        def broken(*args, **kw):
+            raise RuntimeError("kernel fell over\nsecond line")
+
+        monkeypatch.setattr(btable, "derive_table_schedule", broken)
+        code, out, err = run(
+            capsys, "table", "schedule", "--n", "1024", "--k", "1", "--s", "1024",
+            "--alpha", "12",
+        )
+        assert code == 3 and out == ""
+        assert err == "internal error: RuntimeError: kernel fell over second line\n"
+
+    def test_package_errors_still_exit_2(self, capsys):
+        code, _, err = run(
+            capsys, "table", "schedule", "--n", "4", "--k", "1", "--s", "4",
+            "--alpha", "1",
+        )
+        assert code == 2 and err.startswith("error: ")
+
+
 class TestSeedReporting:
     def test_sampled_verify_draws_and_prints_seed(self, capsys, n4_table):
         path, _ = n4_table
@@ -472,6 +534,40 @@ class TestSeedReporting:
         b = run(capsys, *args)
         assert a == b
         assert a[1].startswith("seed 11\n")
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_sampled_verify_without_trials_exits_2(self, capsys, n4_table, trials):
+        path, _ = n4_table
+        code, out, err = run(
+            capsys, "table", "verify", "--table", path, "--S", "4",
+            "--shift-bound", "2", "--mode", "sampled", "--trials", trials,
+            "--seed", "3",
+        )
+        assert code == 2 and "OK" not in out and "trials must be >= 1" in err
+
+    def test_negative_seed_exits_2(self, capsys, n4_table, tmp_path):
+        path, _ = n4_table
+        code, _, err = run(
+            capsys, "table", "verify", "--table", path, "--S", "4",
+            "--shift-bound", "2", "--mode", "sampled", "--seed", "-1",
+        )
+        assert code == 2 and "seed must be >= 0" in err
+        code, _, err = run(
+            capsys, "table", "search", "--n", "2", "--m", "1", "--S", "2",
+            "--shift-bound", "1", "--seed", "-1", "--out", str(tmp_path / "t.ktb"),
+        )
+        assert code == 2 and "seed must be >= 0" in err
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_search_without_trials_exits_2(self, capsys, tmp_path, trials):
+        out_path = tmp_path / "t.ktb"
+        code, out, err = run(
+            capsys, "table", "search", "--n", "2", "--m", "1", "--S", "2",
+            "--shift-bound", "1", "--trials", trials, "--seed", "1",
+            "--out", str(out_path),
+        )
+        assert code == 2 and "trials must be >= 1" in err
+        assert "candidates" not in out and not out_path.exists()
 
 
 def test_cli_import_leaves_mpmath_unloaded():

@@ -125,6 +125,26 @@ class TestVerifyBalance:
         with pytest.raises(ParameterError):
             verify_balance(random_table(2, 1, 0), 1.5, 0.5, 1, [0])
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    @pytest.mark.parametrize(
+        "delta,epsilon,c",
+        [(math.nan, 0.25, 1), (0.0, 0.25, 1), (1.5, 0.25, 1), (0.5, math.nan, 1),
+         (0.5, 0.0, 1), (0.5, 1.0, 1), (0.5, 0.25, 0), (0.5, 0.25, -1), (0.5, 0.25, math.nan)],
+    )
+    def test_parameters_range_checked(self, mode, delta, epsilon, c):
+        # the same rules as CondenserParams, and NaN fails each of them
+        t = standin_table(4, 2)
+        with pytest.raises(ParameterError, match="must be"):
+            verify_balance(t, delta, epsilon, c, [0], mode, trials=5, seed=1)
+        with pytest.raises(ParameterError, match="must be"):
+            CondenserParams(4, delta, epsilon, c, 1)
+
+    @pytest.mark.parametrize("trials,seed", [(0, 1), (-5, 1), (5, -1)])
+    def test_sampled_needs_trials_and_seed_in_range(self, trials, seed):
+        t = standin_table(4, 2)
+        with pytest.raises(ParameterError):
+            verify_balance(t, 0.5, 0.25, 1, [0], "sampled", trials=trials, seed=seed)
+
     def test_budget(self):
         with pytest.raises(ResourceError):
             verify_balance(random_table(3, 1, 0), 2 / 3, 0.5, 1, [0], budget=3)
