@@ -138,16 +138,10 @@ class Table:
 
 @dataclass(frozen=True)
 class BalanceSpec:
-    """Balance parameters: minimum rectangle side S and maximum row shift.
-
-    k and n_logical optionally record the exponent/base behind
-    shift_bound for reporting; the checks only use S and shift_bound.
-    """
+    """Balance parameters: minimum rectangle side S and maximum row shift."""
 
     S: int
     shift_bound: int
-    k: Optional[int] = None
-    n_logical: Optional[int] = None
 
     def __post_init__(self):
         if self.S < 1:
@@ -480,36 +474,18 @@ def search_table(
     return SearchFailure(tried, *best)
 
 
-def apply_table(
-    x1: int,
-    x2: int,
-    table: Table,
-    count: int,
-    *,
-    shift_mode: str = "modn",
-) -> list[int]:
-    """Outputs T(x1 + j, x2) for j = 1..count.
+def apply_table(x1: int, x2: int, table: Table, count: int) -> list[int]:
+    """Outputs T(x1 + j, x2) for j = 1..count, row shifts modulo N.
 
-    The row shift x1 + j is integer addition modulo N by default;
-    shift_mode="xor" instead offsets the row by XOR for experimentation.
+    Shifts j and j + N name the same row, so count is at most N.
     """
     N = table.N
     for name, v in (("x1", x1), ("x2", x2)):
         if not 0 <= v < N:
             raise ParameterError(f"{name} does not fit in {table.n} bits")
-    if count < 1:
-        raise ParameterError(f"count must be >= 1, got {count}")
-    if shift_mode == "modn":
-        rows = ((x1 + j) % N for j in range(1, count + 1))
-    elif shift_mode == "xor":
-        if count > N - 1:
-            raise ParameterError(
-                f"count {count} exceeds {N - 1}, the number of nonzero offsets"
-            )
-        rows = (x1 ^ j for j in range(1, count + 1))
-    else:
-        raise ParameterError(f"unknown shift_mode {shift_mode!r}")
-    return [int(table.cells[r, x2]) for r in rows]
+    if not 1 <= count <= N:
+        raise ParameterError(f"count must be in 1..{N}, got {count}")
+    return [int(table.cells[(x1 + j) % N, x2]) for j in range(1, count + 1)]
 
 
 # ---------------------------------------------------------------------------

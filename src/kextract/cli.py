@@ -79,6 +79,20 @@ def _seed(args) -> int:
     return secrets.randbits(63)
 
 
+def _verify_kw(args) -> dict:
+    """Verifier keywords: the budget, plus trials and seed when sampled."""
+    kw = {"budget": _budget(args)}
+    if args.mode == "sampled":
+        kw.update(trials=args.trials, seed=_seed(args))
+    return kw
+
+
+def _print_seed(kw) -> None:
+    """The seed line, printed only once the library has accepted the run."""
+    if "seed" in kw:
+        print(f"seed {kw['seed']}")
+
+
 def _pair_input(args, table_n: int) -> tuple[int, int]:
     """The two table inputs, from hex positionals or binary files."""
     if args.x1 is not None and args.x2 is not None:
@@ -90,7 +104,7 @@ def _pair_input(args, table_n: int) -> tuple[int, int]:
             raise ParameterError(f"inputs are {n1}-bit but the table needs {table_n}")
         return v1, v2
     if args.x1_file and args.x2_file:
-        bits = args.bits or table_n
+        bits = table_n if args.bits is None else args.bits
         if bits != table_n:
             raise ParameterError(f"--bits {bits} does not match table n={table_n}")
         return (
@@ -130,11 +144,11 @@ def _cmd_table_search(args) -> int:
         sidecar = {"mode": "exhaustive", "spec": spec}
     else:
         seed = _seed(args)
-        print(f"seed {seed}")
         result = btable.search_table(
             args.n, args.m, spec, "random",
             trials=args.trials, seed=seed, pair_budget=budget,
         )
+        print(f"seed {seed}")  # only once the library has accepted the run
         sidecar = {"mode": "random", "seed": seed, "trials": args.trials, "spec": spec}
     if isinstance(result, btable.SearchFailure):
         print(str(result))
@@ -162,16 +176,14 @@ def _format_witness(witness) -> str:
 def _cmd_table_verify(args) -> int:
     table = btable.read_table(args.table)
     spec = btable.BalanceSpec(S=args.S, shift_bound=args.shift_bound)
-    kw = {"budget": _budget(args)}
-    if args.mode == "sampled":
-        seed = _seed(args)
-        print(f"seed {seed}")
-        kw.update(trials=args.trials, seed=seed)
-    for check in (btable.verify_color_bound, btable.verify_shift_pair_bound):
-        result = check(table, spec, args.mode, **kw)
-        if not result.ok:
-            print(f"VIOLATION {_format_witness(result.witness)} count={result.count}")
-            return 1
+    kw = _verify_kw(args)
+    result = btable.verify_color_bound(table, spec, args.mode, **kw)
+    if result.ok:
+        result = btable.verify_shift_pair_bound(table, spec, args.mode, **kw)
+    _print_seed(kw)
+    if not result.ok:
+        print(f"VIOLATION {_format_witness(result.witness)} count={result.count}")
+        return 1
     print("OK")
     return 0
 
@@ -187,9 +199,7 @@ def _cmd_table_schedule(args) -> int:
 def _cmd_table_apply(args) -> int:
     table = btable.read_table(args.table)
     x1, x2 = _pair_input(args, table.n)
-    outputs = btable.apply_table(
-        x1, x2, table, args.count, shift_mode=args.shift_mode
-    )
+    outputs = btable.apply_table(x1, x2, table, args.count)
     width = _hex_width(table.m)
     for z in outputs:
         print(f"{z:0{width}x}")
@@ -213,14 +223,11 @@ def _cmd_condense_verify(args) -> int:
     colors = (
         range(table.M) if args.colors is None else _int_list(args.colors, "--colors")
     )
-    kw = {"budget": _budget(args)}
-    if args.mode == "sampled":
-        seed = _seed(args)
-        print(f"seed {seed}")
-        kw.update(trials=args.trials, seed=seed)
+    kw = _verify_kw(args)
     report = condense.verify_balance(
         table, args.delta, args.epsilon, args.c, colors, args.mode, **kw
     )
+    _print_seed(kw)
     if report.ok:
         print(f"OK worst_ratio={report.worst_ratio:.12g}")
         return 0
@@ -426,8 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = tsub.add_parser("apply", help="emit T(x1+j, x2) for j = 1..count")
     p.add_argument("--table", required=True)
     _add_pair_input_flags(p)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--shift-mode", choices=["modn", "xor"], default="modn")
+    p.add_argument("--count", type=int, required=True, help="1..N")
     p.set_defaults(fn=_cmd_table_apply)
 
     cond = sub.add_parser("condense", help="condenser-table pipelines")

@@ -9,64 +9,32 @@ and every color subset A, the A-colored cell count is at most
 
 ``verify_balance`` measures that property exactly at desk scale.  A
 real condenser construction is out of scope here; ``standin_table``
-provides a deterministic concrete table (field multiplication truncated
-to m bits, built from ``gf2n.mul_bits``) whose conformance is measured,
-not assumed, which keeps the verifier's negative paths exercisable.
+provides a deterministic dense ``Table`` (field multiplication truncated
+to m bits, built from ``gf2n.mul_bits``, for n <= DENSE_LIMIT_N) whose
+conformance is measured, not assumed, which keeps the verifier's
+negative paths exercisable.
 
-The constant c and the output-rate constant gamma (m = gamma*delta*n)
-are configuration inputs with defaults c=2, gamma=1/4; no concrete
-values are mandated by the interface they model.
+The constant c is a configuration input with default c=2; no concrete
+value is mandated by the interface it models.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import stats
-from .btable import DENSE_LIMIT_N, Table, _ceil_log2, _check_budget
-from .btable import _sampled_rects, _scan_blocks, _top_columns
+from .btable import Table, _ceil_log2, _check_budget, _check_dims
+from .btable import _check_trials, _sampled_rects, _scan_blocks, _top_columns
 from .errors import ParameterError
 from .gf2n import field_params, mul_bits
 
 DEFAULT_C = 2
-DEFAULT_GAMMA = 0.25
-
-
-def _check_balance_params(delta, epsilon, c) -> None:
-    """0 < delta <= 1, 0 < epsilon < 1 and c >= 1; NaN fails each test."""
-    if not 0 < delta <= 1:
-        raise ParameterError(f"delta={delta} must be in (0, 1]")
-    if not 0 < epsilon < 1:
-        raise ParameterError(f"epsilon={epsilon} must be in (0, 1)")
-    if not c >= 1:
-        raise ParameterError(f"c={c} must be >= 1")
-
-
-@dataclass(frozen=True)
-class CondenserParams:
-    """Interface parameters of a two-source condenser table."""
-
-    n: int
-    delta: float
-    epsilon: float
-    c: int
-    m: int
-
-    def __post_init__(self):
-        _check_balance_params(self.delta, self.epsilon, self.c)
-        if not 1 <= self.m <= self.n:
-            raise ParameterError(f"m={self.m} must be in 1..n={self.n}")
-
-    @classmethod
-    def derive(cls, n, delta, epsilon, c=DEFAULT_C, gamma=DEFAULT_GAMMA):
-        """m = floor(gamma * delta * n) for the configured rate constant."""
-        return cls(n, delta, epsilon, c, int(gamma * delta * n))
 
 
 @dataclass(frozen=True)
@@ -81,8 +49,8 @@ class CondenseSchedule:
     delta: float
     alpha: int
     c: int = DEFAULT_C
-    epsilon: Fraction = None
-    t: int = None
+    epsilon: Fraction = field(init=False)
+    t: int = field(init=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -154,7 +122,12 @@ def verify_balance(
     that reaches the largest count; sampled mode the rectangle sampler,
     where they come from the first sampled rectangle that reaches it.
     """
-    _check_balance_params(delta, epsilon, c)
+    if not 0 < delta <= 1:  # NaN fails each of these tests
+        raise ParameterError(f"delta={delta} must be in (0, 1]")
+    if not 0 < epsilon < 1:
+        raise ParameterError(f"epsilon={epsilon} must be in (0, 1)")
+    if not c >= 1:
+        raise ParameterError(f"c={c} must be >= 1")
     N, M = table.N, table.M
     A = sorted(set(colors))
     for a in A:
@@ -163,6 +136,8 @@ def verify_balance(
     R = math.ceil(2.0 ** (delta * table.n))  # <= N, since delta <= 1
     if mode not in ("exhaustive", "sampled"):
         raise ParameterError(f"unknown mode {mode!r}")
+    if mode == "sampled":  # checked here too, as an infinite bound samples nothing
+        _check_trials(trials, seed)
     bound = color_bound_fraction(len(A), M, delta, epsilon, c) * R * R
     if bound == math.inf:  # no count reaches it: nothing to scan
         return BalanceReport(True, 0.0)
@@ -184,45 +159,14 @@ def verify_balance(
     return BalanceReport(witness is None, best_count / bound, witness)
 
 
-def standin_color(x: int, y: int, n: int, m: int) -> int:
-    """Low m bits of the GF(2^n) product of x and y (0 passes through)."""
-    return mul_bits(x, y, field_params(n)) & ((1 << m) - 1)
-
-
-@dataclass(frozen=True)
-class FnTable:
-    """Function-backed table for pipelines too large to materialize."""
-
-    n: int
-    m: int
-    fn: object
-    provenance: str = "constructed(function)"
-
-    @property
-    def N(self):
-        return 1 << self.n
-
-    @property
-    def M(self):
-        return 1 << self.m
-
-    def lookup(self, x: int, y: int) -> int:
-        if not (0 <= x < self.N and 0 <= y < self.N):
-            raise ParameterError(f"cell ({x}, {y}) outside the {self.N}x{self.N} grid")
-        return self.fn(x, y)
-
-
-def standin_table(n: int, m: int):
+def standin_table(n: int, m: int) -> Table:
     """Deterministic stand-in condenser table: truncated field products.
 
-    For n <= DENSE_LIMIT_N the table holds all 2^(2n) cells; above it a
-    function-backed table serves ``apply_condenser`` at any n up to 64.
+    It holds all 2^(2n) cells, so n > DENSE_LIMIT_N is a ResourceError.
     """
     if not 1 <= m <= n:
         raise ParameterError(f"need 1 <= m <= n, got m={m}, n={n}")
-    provenance = "constructed(gf2n-mul-truncated)"
-    if n > DENSE_LIMIT_N:
-        return FnTable(n, m, lambda x, y: standin_color(x, y, n, m), provenance)
+    _check_dims(n, m)
     params = field_params(n)
     N = 1 << n
     cells = np.zeros((N, N), dtype=np.uint32)
@@ -237,7 +181,7 @@ def standin_table(n: int, m: int):
             np.bitwise_xor(cells[row, :col], p, out=cells[row, col:2 * col])
         np.bitwise_xor(cells[1:row], cells[row], out=cells[row + 1:2 * row])
     cells &= (1 << m) - 1
-    return Table(n, m, cells, provenance)
+    return Table(n, m, cells, "constructed(gf2n-mul-truncated)")
 
 
 @dataclass(frozen=True)
@@ -251,7 +195,7 @@ class CondenseResult:
     claimed_floor: int
 
 
-def apply_condenser(x: int, y: int, table, schedule: CondenseSchedule) -> CondenseResult:
+def apply_condenser(x: int, y: int, table: Table, schedule: CondenseSchedule) -> CondenseResult:
     """z = T(x, y) with the schedule's claimed floor attached."""
     if table.n != schedule.n:
         raise ParameterError(

@@ -1,8 +1,8 @@
 """Compressor-backed proxies for string complexity and dependency.
 
 True program-length complexity is uncomputable; every estimate here is
-a heuristic built from off-the-shelf compressors.  The conditional
-estimate uses the standard difference-of-joint surrogate
+a heuristic built from off-the-shelf compressors.  ``dependency``
+estimates conditional complexity by the difference-of-joint surrogate
 
     k(x | y) ~= max(0, k(y . x) - k(y))
 
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import bz2
 import lzma
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -66,11 +67,6 @@ def k_estimate(data: bytes, comp: Compressor) -> int:
         raise BackendError(f"compression failed: {exc}", comp.name) from exc
 
 
-def conditional_k_estimate(x: bytes, y: bytes, comp: Compressor) -> int:
-    """Estimated complexity of x given y: max(0, k(y.x) - k(y)) bits."""
-    return max(0, k_estimate(y + x, comp) - k_estimate(y, comp))
-
-
 @dataclass(frozen=True)
 class DepEstimate:
     """Dependency estimates in bits, raw and clamped to >= 0.
@@ -94,6 +90,8 @@ class DepEstimate:
 
 def dependency(x: bytes, y: bytes, comp: Compressor, alpha: float) -> DepEstimate:
     """Directional complexity drops of x and y against each other."""
+    if math.isnan(alpha):
+        raise ParameterError("alpha must be a number, got nan")
     kx = k_estimate(x, comp)
     ky = k_estimate(y, comp)
     kxy = k_estimate(x + y, comp)

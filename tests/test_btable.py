@@ -511,21 +511,22 @@ class TestApply:
         t = random_table(2, 1, 1)
         assert apply_table(3, 0, t, 2) == [int(t.cells[0, 0]), int(t.cells[1, 0])]
 
-    def test_xor_shift_mode(self):
-        t = random_table(3, 2, 43)
-        got = apply_table(5, 2, t, 3, shift_mode="xor")
-        assert got == [int(t.cells[5 ^ j, 2]) for j in (1, 2, 3)]
-        with pytest.raises(ParameterError):
-            apply_table(0, 0, t, 8, shift_mode="xor")
-
     def test_validation(self):
         t = random_table(2, 1, 2)
         with pytest.raises(ParameterError):
             apply_table(4, 0, t, 1)
         with pytest.raises(ParameterError):
             apply_table(0, 0, t, 0)
-        with pytest.raises(ParameterError):
-            apply_table(0, 0, t, 1, shift_mode="sub")
+
+    def test_count_is_at_most_N(self):
+        # shifts j and j + N name the same row: count = N is the whole
+        # column, rotated to start below x1, and N + 1 is refused
+        t = random_table(3, 2, 44)
+        x1, x2 = 5, 6
+        column = [int(v) for v in t.cells[:, x2]]
+        assert apply_table(x1, x2, t, 8) == column[x1 + 1:] + column[:x1 + 1]
+        with pytest.raises(ParameterError, match="count must be in 1..8"):
+            apply_table(x1, x2, t, 9)
 
 
 class TestSchedule:

@@ -1,3 +1,4 @@
+import argparse
 import subprocess
 import sys
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 from kextract import btable, condense, extend, stats
-from kextract.cli import main
+from kextract.cli import _pair_input, main
+from kextract.errors import ParameterError
 from kextract.gf2n import field_params
 
 
@@ -168,6 +170,41 @@ class TestTableCommands:
             "--count", "1",
         )
         assert code == 0 and out == f"{t.lookup(11, 3):01x}\n"
+
+    def test_apply_count_is_at_most_N(self, capsys, n4_table):
+        path, t = n4_table
+        argv = ["table", "apply", "--table", path, "a", "3", "--count"]
+        code, out, _ = run(capsys, *argv, "16")
+        column = [f"{t.lookup(x, 3):01x}" for x in range(16)]
+        assert code == 0 and out.split() == column[11:] + column[:11]
+        code, out, err = run(capsys, *argv, "17")
+        assert code == 2 and out == "" and "count must be in 1..16" in err
+
+    def test_apply_has_no_shift_mode(self, capsys, n4_table):
+        path, _ = n4_table
+        code, out, err = run(
+            capsys, "table", "apply", "--table", path, "a", "3", "--count", "1",
+            "--shift-mode", "xor",
+        )
+        assert code == 2 and out == "" and "--shift-mode" in err
+
+    def test_pair_input_bits_zero_is_not_the_default(self, tmp_path):
+        x = tmp_path / "x.bin"
+        x.write_bytes(b"\xa0")
+        args = argparse.Namespace(x1=None, x2=None, x1_file=str(x), x2_file=str(x))
+        assert _pair_input(argparse.Namespace(**vars(args), bits=None), 4) == (10, 10)
+        with pytest.raises(ParameterError, match="--bits 0"):
+            _pair_input(argparse.Namespace(**vars(args), bits=0), 4)
+
+    def test_apply_bits_zero_exits_2(self, capsys, tmp_path, n4_table):
+        path, _ = n4_table
+        x = tmp_path / "x.bin"
+        x.write_bytes(b"\xa0")
+        code, out, err = run(
+            capsys, "table", "apply", "--table", path, "--x1-file", str(x),
+            "--x2-file", str(x), "--bits", "0", "--count", "1",
+        )
+        assert code == 2 and out == "" and "--bits 0" in err
 
     def test_apply_rejects_unaligned_hex(self, capsys, tmp_path):
         t = btable.Table.constant(3, 1, 0)
@@ -332,6 +369,14 @@ class TestEstimateCommands:
             "--alpha", str(0.05 * 8 * 8192),
         )
         assert code == 0 and out.splitlines()[-1] == "INDEPENDENT"
+
+    def test_dep_nan_alpha_exits_2(self, capsys, tmp_path):
+        f = tmp_path / "x.bin"
+        f.write_bytes(b"abc")
+        code, out, err = run(
+            capsys, "estimate", "dep", str(f), str(f), "--alpha", "nan",
+        )
+        assert code == 2 and out == "" and "alpha" in err
 
     def test_k_on_empty_file(self, capsys, tmp_path):
         f = tmp_path / "empty.bin"
@@ -557,6 +602,30 @@ class TestSeedReporting:
             "--shift-bound", "1", "--seed", "-1", "--out", str(tmp_path / "t.ktb"),
         )
         assert code == 2 and "seed must be >= 0" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "search", "--n", "2", "--m", "1", "--seed", "-1"],
+            ["table", "search", "--n", "2", "--m", "1", "--trials", "0"],
+            ["table", "search", "--n", "13", "--m", "1"],
+            ["table", "search", "--n", "2", "--m", "40"],
+            ["table", "verify", "--mode", "sampled", "--seed", "-1"],
+            ["condense", "verify", "--mode", "sampled", "--seed", "-1"],
+        ],
+        ids=["search-seed", "search-trials", "search-n", "search-m",
+             "table-verify-seed", "condense-verify-seed"],
+    )
+    def test_rejected_run_prints_no_seed(self, capsys, tmp_path, n4_table, argv):
+        path, _ = n4_table
+        if argv[0] == "condense":
+            argv = argv + ["--table", path, "--delta", "0.5", "--epsilon", "0.25"]
+        elif argv[1] == "verify":
+            argv = argv + ["--table", path, "--S", "4", "--shift-bound", "2"]
+        else:
+            argv = argv + ["--S", "2", "--shift-bound", "1", "--out", str(tmp_path / "t.ktb")]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error: ")
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_search_without_trials_exits_2(self, capsys, tmp_path, trials):

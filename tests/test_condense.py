@@ -13,40 +13,20 @@ from kextract.btable import DENSE_LIMIT_N, Table
 from kextract.condense import (
     BalanceReport,
     CondenseSchedule,
-    CondenserParams,
-    FnTable,
     apply_condenser,
     color_bound_fraction,
     min_entropy_deficit,
-    standin_color,
     standin_table,
     verify_balance,
 )
 from kextract.errors import ParameterError, ResourceError
-from kextract.gf2n import field_params
+from kextract.gf2n import field_params, mul_bits
 
 
 def random_table(n, m, seed):
     rng = np.random.default_rng(seed)
     N = 1 << n
     return Table(n, m, rng.integers(0, 1 << m, size=(N, N), dtype=np.uint32))
-
-
-class TestCondenserParams:
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            CondenserParams(8, 0.0, 0.5, 2, 4)
-        with pytest.raises(ParameterError):
-            CondenserParams(8, 0.5, 1.0, 2, 4)
-        with pytest.raises(ParameterError):
-            CondenserParams(8, 0.5, 0.5, 0, 4)
-        with pytest.raises(ParameterError):
-            CondenserParams(8, 0.5, 0.5, 2, 9)
-
-    def test_derive_output_length(self):
-        p = CondenserParams.derive(64, 0.5, 0.25)
-        assert p.m == int(0.25 * 0.5 * 64) == 8
-        assert p.c == 2
 
 
 class TestCondenseSchedule:
@@ -132,18 +112,18 @@ class TestVerifyBalance:
          (0.5, 0.0, 1), (0.5, 1.0, 1), (0.5, 0.25, 0), (0.5, 0.25, -1), (0.5, 0.25, math.nan)],
     )
     def test_parameters_range_checked(self, mode, delta, epsilon, c):
-        # the same rules as CondenserParams, and NaN fails each of them
+        # NaN fails each of the range tests
         t = standin_table(4, 2)
         with pytest.raises(ParameterError, match="must be"):
             verify_balance(t, delta, epsilon, c, [0], mode, trials=5, seed=1)
-        with pytest.raises(ParameterError, match="must be"):
-            CondenserParams(4, delta, epsilon, c, 1)
 
     @pytest.mark.parametrize("trials,seed", [(0, 1), (-5, 1), (5, -1)])
     def test_sampled_needs_trials_and_seed_in_range(self, trials, seed):
         t = standin_table(4, 2)
         with pytest.raises(ParameterError):
             verify_balance(t, 0.5, 0.25, 1, [0], "sampled", trials=trials, seed=seed)
+        with pytest.raises(ParameterError):  # an infinite bound, so nothing is sampled
+            verify_balance(t, 1, 0.001, 4, range(4), "sampled", trials=trials, seed=seed)
 
     def test_budget(self):
         with pytest.raises(ResourceError):
@@ -249,33 +229,34 @@ class TestStandinTable:
             assert t.lookup(x, y) == oracles.gf_mul(x, y, modulus) & 0x7F
 
     def test_lazy_agrees_with_dense(self):
-        # above DENSE_LIMIT_N the stand-in is standin_color behind an FnTable
+        # the dense cells, built by bilinearity, equal the per-cell product
+        # that the function-backed stand-in used to compute
+        params = field_params(4)
         dense = standin_table(4, 3)
-        lazy = FnTable(4, 3, lambda x, y: standin_color(x, y, 4, 3))
         for x in range(16):
             for y in range(16):
-                assert dense.lookup(x, y) == lazy.lookup(x, y)
+                assert dense.lookup(x, y) == mul_bits(x, y, params) & 0b111
 
     def test_large_n_is_lazy(self):
-        t = standin_table(40, 8)
-        assert isinstance(t, FnTable)
-        assert t.lookup(1, 0xABCDEF) == 0xABCDEF & 0xFF
+        # no cells are allocated at n=40: the size check refuses first,
+        # and the one cell a caller needs is still a single mul_bits
+        with pytest.raises(ResourceError, match="dense-table limit"):
+            standin_table(40, 8)
+        assert mul_bits(1, 0xABCDEF, field_params(40)) & 0xFF == 0xABCDEF & 0xFF
 
     def test_dense_limit(self):
+        # the stand-in is a dense Table, so past the limit it is refused
+        # before any cells are allocated
         assert isinstance(standin_table(DENSE_LIMIT_N, 2), Table)
-        t = standin_table(DENSE_LIMIT_N + 1, 5)
-        assert isinstance(t, FnTable)
-        modulus = field_params(DENSE_LIMIT_N + 1).modulus
-        rng = np.random.default_rng(13)
-        for x, y in rng.integers(0, t.N, size=(200, 2)).tolist():
-            assert t.lookup(x, y) == oracles.gf_mul(x, y, modulus) & 0x1F
+        with pytest.raises(ResourceError, match="dense-table limit"):
+            standin_table(DENSE_LIMIT_N + 1, 5)
 
     def test_m_range(self):
         with pytest.raises(ParameterError):
             standin_table(3, 4)
 
     def test_standin_color_function(self):
-        assert standin_color(1, 0b101, 3, 2) == 0b01
+        assert standin_table(3, 2).lookup(1, 0b101) == 0b01
 
 
 class TestApplyCondenser:

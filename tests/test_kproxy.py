@@ -12,7 +12,6 @@ from kextract.kproxy import (
     DEFAULT_BACKEND,
     concat_decode,
     concat_encode,
-    conditional_k_estimate,
     dependency,
     get_backend,
     k_estimate,
@@ -103,6 +102,33 @@ class TestConcatCodec:
             return
         assert concat_encode(a, b) == garbage
 
+    @given(text=st.one_of(st.text(max_size=60), st.text(alphabet="01", max_size=200)))
+    def test_fuzz_decodes_or_raises_decode_error(self, text):
+        assert_decodes_or_decode_error(text)
+
+    @given(
+        a=st.text(alphabet="01", min_size=1, max_size=300),
+        b=bitstrings,
+        cut=st.integers(0, 400),
+        ch=st.sampled_from(["0", "1", "2", " ", "\n", "\u00e9"]),
+    )
+    def test_fuzz_near_valid_encodings(self, a, b, cut, ch):
+        enc = concat_encode(a, b)
+        assert concat_decode(enc) == (a, b)
+        for text in (enc[:cut], enc[:cut] + ch + enc[cut:], enc[:cut] + enc[cut + 1:]):
+            assert_decodes_or_decode_error(text)
+
+
+def assert_decodes_or_decode_error(text):
+    """concat_decode succeeds on a valid encoding and raises DecodeError,
+    with a position inside the text, on anything else."""
+    try:
+        a, b = concat_decode(text)
+    except DecodeError as exc:
+        assert 0 <= exc.position <= len(text)
+        return
+    assert concat_encode(a, b) == text
+
 
 class TestBackends:
     def test_unknown_backend(self):
@@ -149,20 +175,26 @@ class TestKEstimate:
             )
 
 
+def conditional_k(x: bytes, y: bytes) -> int:
+    """k(x | y) = max(0, k(y.x) - k(y)), read back from ``dependency``."""
+    est = dependency(x, y, LZMA, alpha=0.0)
+    return est.kx - est.alpha_x_raw
+
+
 class TestConditional:
     def test_self_is_cheap(self):
         x = stream(b"cc", 16384)
-        assert conditional_k_estimate(x, x, LZMA) <= 0.05 * k_estimate(x, LZMA)
+        assert conditional_k(x, x) <= 0.05 * k_estimate(x, LZMA)
 
     def test_empty_condition_subtracts_empty_baseline(self):
         x = stream(b"ce", 4096)
         expected = k_estimate(x, LZMA) - FIXTURES["lzma"]["empty_bits"]
-        assert conditional_k_estimate(x, b"", LZMA) == expected
+        assert conditional_k(x, b"") == expected
 
     def test_independent_condition_is_useless(self):
         x = stream(b"ci-x", 16384)
         y = stream(b"ci-y", 16384)
-        got = conditional_k_estimate(x, y, LZMA)
+        got = conditional_k(x, y)
         assert got >= 0.9 * k_estimate(x, LZMA)
 
 
@@ -192,6 +224,11 @@ class TestDependency:
         x = stream(b"dep-e", 8192)
         est = dependency(x, b"", LZMA, alpha=FIXTURES["lzma"]["empty_bits"])
         assert est.verdict
+
+    def test_nan_alpha_rejected(self):
+        x = stream(b"nan", 256)
+        with pytest.raises(ParameterError, match="alpha"):
+            dependency(x, x, LZMA, alpha=math.nan)
 
     def test_clamping(self):
         x = stream(b"cl", 2048)
