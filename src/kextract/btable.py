@@ -149,6 +149,13 @@ class BalanceSpec:
         if self.shift_bound < 1:
             raise ParameterError(f"shift_bound must be >= 1, got {self.shift_bound}")
 
+    def check_fits(self, N: int) -> None:
+        """Refuse S > N, and shift_bound > N: shifts are taken mod N, so
+        past N a shift pair such as (1, N + 1) reads one row twice."""
+        for name, v in (("S", self.S), ("shift_bound", self.shift_bound)):
+            if v > N:
+                raise ParameterError(f"{name}={v} exceeds N={N}")
+
 
 @dataclass(frozen=True)
 class VerifyResult:
@@ -319,8 +326,7 @@ def verify_color_bound(
     violation was found among ``trials`` random rectangles.
     """
     S, N, M = spec.S, table.N, table.M
-    if S > N:
-        raise ParameterError(f"S={S} exceeds N={N}")
+    spec.check_fits(N)
     most = 2 * S * S // M  # count * M <= 2 S^2, exact integers
     if mode == "exhaustive":
         _check_budget(N, S, budget, "single-color verification")
@@ -350,8 +356,7 @@ def verify_shift_pair_bound(
     module docstring for why the diagonal carries no pair events).
     """
     S, N, M = spec.S, table.N, table.M
-    if S > N:
-        raise ParameterError(f"S={S} exceeds N={N}")
+    spec.check_fits(N)
     if mode not in ("exhaustive", "sampled"):
         raise ParameterError(f"unknown mode {mode!r}")
     most = 2 * S * S // (M * M)  # count * M^2 <= 2 S^2, exact integers
@@ -452,8 +457,7 @@ def search_table(
         provenance = lambda t: "searched(exhaustive)"
     else:
         raise ParameterError(f"unknown search strategy {strategy!r}")
-    if spec.S > N:
-        raise ParameterError(f"S={spec.S} exceeds N={N}")
+    spec.check_fits(N)
     _check_budget(N, spec.S, pair_budget, "single-color verification")
     tried, best = 0, (math.inf, -1, "")
     size, largest = 1, max(1, SCAN_BLOCK_ENTRIES // (N * max(N, M * M)))
@@ -514,6 +518,10 @@ class TableSchedule:
     t: int
 
 
+# Largest n for derive_table_schedule: its S then has at most 2^24 bits.
+MAX_SCHEDULE_N = 1 << 24
+
+
 def derive_table_schedule(n: int, k: int, s: int, alpha: int) -> TableSchedule:
     """Output length m, rectangle side S and slack t from (n, k, s, alpha).
 
@@ -523,6 +531,8 @@ def derive_table_schedule(n: int, k: int, s: int, alpha: int) -> TableSchedule:
     """
     if n < 1 or k < 1 or alpha < 0:
         raise ParameterError("need n >= 1, k >= 1, alpha >= 0")
+    if n > MAX_SCHEDULE_N:  # S = 2^ceil(2s/3) is built as an int
+        raise ParameterError(f"n={n} above the schedule limit {MAX_SCHEDULE_N}")
     log_n = _ceil_log2(n)
     if s > n:
         raise ParameterError(f"hypothesis violated: s={s} > n={n}")

@@ -21,6 +21,8 @@ import re
 import secrets
 import sys
 
+import numpy as np
+
 from . import btable, condense, extend, kproxy, stats
 from .errors import (
     BackendError,
@@ -125,6 +127,8 @@ def _cmd_extend(args) -> int:
     if n1 != n2:
         raise ParameterError(f"inputs differ in length: {n1} vs {n2} bits")
     params = field_params(n1)
+    if args.count is None and args.k >= n1:  # n^k >= 2^n: too many, and too big to build
+        raise ParameterError(f"--k {args.k}: n^k outputs exceed 2^{n1} - 1")
     count = args.count if args.count is not None else n1**args.k
     req = extend.ExtendRequest(x1, x2, count, params)
     width = _hex_width(n1)
@@ -249,6 +253,8 @@ def _cmd_condense_deficit(args) -> int:
 
 
 def _read_file(path: str) -> bytes:
+    if "\0" in path:  # open() raises ValueError, not OSError, on these
+        raise ParameterError(f"{path!r}: a file name cannot hold a NUL byte")
     with open(path, "rb") as fh:
         return fh.read()
 
@@ -302,36 +308,28 @@ def _cmd_dist_push(args) -> int:
         if args.table is None:
             raise ParameterError("--map table needs --table")
         table = btable.read_table(args.table)
-        dist = stats.pushforward(
-            lambda x, y: int(table.cells[x, y]), table.n, table.m, budget=budget
-        )
+        cells = table.cells
+        dist = stats.count_rows(lambda x1: cells[x1].ravel(), table.n, table.m, budget)
     else:
         if args.n is None:
             raise ParameterError(f"--map {args.map} needs --n")
         n = args.n
         params = field_params(n)
         stats.check_pushforward_budget(n, budget)  # before any N-entry table
-        if args.map == "xor":
-            dist = stats.pushforward(lambda x, y: x ^ y, n, n, budget=budget)
-        elif args.map == "extend":
-            if args.i is None:
-                raise ParameterError("--map extend needs --i")
-            extend.ExtendRequest(0, 0, args.i, params)  # range-checks i as `extend` does
-            iz = multiples(args.i, 1 << n, params)  # iz[x2] = i*x2
-            dist = stats.pushforward(lambda x1, x2: x1 ^ iz[x2], n, n, budget=budget)
-        elif args.map == "extend-pair":
-            if args.i is None or args.j is None:
-                raise ParameterError("--map extend-pair needs --i and --j")
-            for index in (args.i, args.j):
-                extend.ExtendRequest(0, 0, index, params)
-            iz, jz = (multiples(e, 1 << n, params) for e in (args.i, args.j))
+        # xor is the extend map at index 1, whose element is the identity
+        indices = {"xor": [1], "extend": [args.i], "extend-pair": [args.i, args.j]}[args.map]
+        if None in indices:
+            flags = " and ".join(("--i", "--j")[:len(indices)])
+            raise ParameterError(f"--map {args.map} needs {flags}")
+        for index in indices:
+            extend.ExtendRequest(0, 0, index, params)  # range-checks it as `extend` does
+        cols = [np.array(multiples(e, 1 << n, params), np.uint64) for e in indices]
 
-            def pair(x1, x2):
-                return (x1 ^ iz[x2]) << n | (x1 ^ jz[x2])
+        def rows(x1):  # z_i (and z_j) at every (x1, x2), z = x1 ^ cols[k][x2]
+            z = [x1[:, None] ^ col for col in cols]
+            return (z[0] << np.uint64(n) | z[1] if len(z) == 2 else z[0]).ravel()
 
-            dist = stats.pushforward(pair, n, 2 * n, budget=budget)
-        else:
-            raise ParameterError(f"unknown map {args.map!r}")
+        dist = stats.count_rows(rows, n, n * len(cols), budget)
     text = stats.dist_to_text(dist)
     if args.out:
         with open(args.out, "w") as fh:

@@ -219,5 +219,5 @@ def min_entropy_deficit(table: Table, rows: Sequence[int], cols: Sequence[int]) 
             raise ParameterError(f"index {v} outside 0..{table.N - 1}")
     values = table.cells[np.ix_(rows, cols)].ravel()
     counts = np.bincount(values, minlength=table.M)
-    dist = stats.Dist(table.m, {v: int(c) for v, c in enumerate(counts) if c})
+    dist = stats.Dist(table.m, np.arange(len(counts)), counts)
     return table.m - stats.min_entropy(dist)

@@ -13,8 +13,8 @@ independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+import itertools
+from typing import Iterator, NamedTuple
 
 from .errors import ParameterError
 from .gf2n import FieldParams, inverse_bits, mul_bits, multiples
@@ -24,30 +24,45 @@ from .gf2n import FieldParams, inverse_bits, mul_bits, multiples
 EXTEND_BLOCK = 1 << 12
 
 
-@dataclass(frozen=True)
-class ExtendRequest:
-    """Two n-bit seeds plus the number of outputs to produce."""
-
+class _Request(NamedTuple):
     x1: int
     x2: int
     count: int
     params: FieldParams
 
-    def __post_init__(self):
-        order = self.params.order
-        for name, v in (("x1", self.x1), ("x2", self.x2)):
+
+class ExtendRequest(_Request):
+    """Two n-bit seeds plus the number of outputs to produce (immutable)."""
+
+    __slots__ = ()
+
+    def __new__(cls, x1: int, x2: int, count: int, params: FieldParams):
+        order = 1 << params.n
+        for name, v in (("x1", x1), ("x2", x2)):
             if not 0 <= v < order:
-                raise ParameterError(f"{name} does not fit in {self.params.n} bits")
-        if not 1 <= self.count <= order - 1:
+                raise ParameterError(f"{name} does not fit in {params.n} bits")
+        if not 1 <= count < order:
             raise ParameterError(
-                f"count {self.count} out of range 1..{order - 1}: "
+                f"count {count} out of range 1..{order - 1}: "
                 "indices must be distinct nonzero field elements"
             )
+        return tuple.__new__(cls, (x1, x2, count, params))
 
 
-@dataclass(frozen=True)
-class ExtendOutput:
+class ExtendOutput(NamedTuple):
     outputs: tuple[int, ...]
+
+
+def _blocks(req: ExtendRequest) -> Iterator[Iterator[int]]:
+    """z_1, z_2, ... as one map object per block of the table of
+    multiples lo*x2 (see ``iter_extend``)."""
+    x1, x2, count, params = req
+    end = count + 1
+    table = multiples(x2, min(end, EXTEND_BLOCK), params)
+    size = len(table)
+    yield map(x1.__xor__, table[1:end])
+    for hi in range(size, end, size):
+        yield map((x1 ^ mul_bits(x2, hi, params)).__xor__, table[:end - hi])
 
 
 def iter_extend(req: ExtendRequest) -> Iterator[int]:
@@ -58,11 +73,7 @@ def iter_extend(req: ExtendRequest) -> Iterator[int]:
     the table size L and lo < L, z_i = x1 ^ hi*x2 ^ lo*x2: one multiply
     per block of L outputs and one XOR per output.
     """
-    table = multiples(req.x2, min(req.count + 1, EXTEND_BLOCK), req.params)
-    size = len(table)
-    for hi in range(0, req.count + 1, size):
-        base = req.x1 ^ mul_bits(req.x2, hi, req.params)
-        yield from [base ^ lo for lo in table[1 if hi == 0 else 0:req.count + 1 - hi]]
+    return itertools.chain.from_iterable(_blocks(req))
 
 
 def extend(req: ExtendRequest) -> ExtendOutput:

@@ -7,9 +7,13 @@ shares no code path with the implementations under test.
 
 import itertools
 import math
+import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
+
+from kextract.errors import DecodeError
 
 
 # -- GF(2^n) schoolbook arithmetic -----------------------------------------
@@ -380,6 +384,85 @@ def fraction_dist_to_text(d):
         p = d.probs[outcome]
         lines.append(f"{outcome:0{width}x} {p.numerator}/{p.denominator}")
     return "\n".join(lines) + "\n"
+
+
+# -- dict-of-counts distributions: reference for the array-backed Dist -----
+#
+# The library's earlier integer-count layer, kept as it was (a Counter
+# pushforward, a writer and a line-by-line parser over {outcome: count}
+# dicts), so the array-backed Dist can be held to the same counts, text
+# bytes and DecodeError positions.  ``limits=True`` adds the array
+# layer's documented limits to the parser: bits above 64 at the header,
+# a numerator or denominator above 2^63 - 1 at its line, and a common
+# denominator above 2^63 - 1 one past the last line.
+
+INT64_MAX = (1 << 63) - 1
+
+
+def dict_pushforward(fn, n):
+    """{outcome: count} of fn over all pairs of n-bit inputs."""
+    return dict(Counter(itertools.starmap(fn, itertools.product(range(1 << n), repeat=2))))
+
+
+def dict_dist_to_text(bits, counts):
+    """The text of {outcome: count}, each mass in lowest terms."""
+    t = sum(counts.values())
+    mass = {}
+    for c in set(counts.values()):
+        g = math.gcd(c, t)
+        mass[c] = f"{c // g}/{t // g}"
+    line = f"%0{max(1, (bits + 3) // 4)}x %s"
+    lines = [f"bits {bits}"]
+    lines += [line % (v, mass[c]) for v, c in sorted(counts.items())]
+    return "\n".join(lines) + "\n"
+
+
+_DICT_HEADER = re.compile(r"bits\s+([0-9]+)")
+_DICT_LINE = re.compile(r"([0-9a-f]+)\s+([0-9]+)/([0-9]+)")
+
+
+def _dict_decimal(digits, idx, limits):
+    try:
+        value = int(digits)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise DecodeError(f"{len(digits)}-digit number is too long", idx) from None
+    if limits and value > INT64_MAX:
+        raise DecodeError(f"{digits} exceeds 2^63 - 1", idx)
+    return value
+
+
+def dict_dist_from_text(text, limits=False):
+    """(bits, {outcome: count over the lcm of the denominators}), or
+    DecodeError at the index among nonblank lines (header 0)."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    header = _DICT_HEADER.fullmatch(lines[0]) if lines else None
+    if header is None:
+        raise DecodeError("missing or unreadable 'bits <n>' header", 0)
+    domain_bits = _dict_decimal(header[1], 0, False)
+    if limits and domain_bits > 64:
+        raise DecodeError("outcomes wider than 64 bits are not supported", 0)
+    masses = {}
+    for idx, line in enumerate(lines[1:], start=1):
+        m = _DICT_LINE.fullmatch(line)
+        if m is None:
+            raise DecodeError(f"unreadable distribution line {line!r}", idx)
+        outcome = int(m[1], 16)
+        if outcome >> domain_bits:
+            raise DecodeError(f"outcome {m[1]} does not fit in {domain_bits} bits", idx)
+        if outcome in masses:
+            raise DecodeError(f"outcome {m[1]} listed twice", idx)
+        den = _dict_decimal(m[3], idx, limits)
+        if den == 0:
+            raise DecodeError(f"zero denominator in {line!r}", idx)
+        masses[outcome] = _dict_decimal(m[2], idx, limits), den
+    total = math.lcm(*(den for _, den in masses.values()))
+    if limits and total > INT64_MAX:
+        raise DecodeError("the masses' common denominator exceeds 2^63 - 1", len(lines))
+    counts = {v: num * (total // den) for v, (num, den) in masses.items()}
+    mass = sum(counts.values())
+    if mass != total:
+        raise DecodeError(f"probabilities sum to {Fraction(mass, total)}, not 1", len(lines))
+    return domain_bits, counts
 
 
 def extend_outputs(x1: int, x2: int, count: int, modulus: int) -> tuple:

@@ -186,6 +186,20 @@ class TestVerify:
                 *_, i, j = r.witness
                 assert i != j
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_shift_bound_past_N_rejected(self, mode):
+        # shifts are taken mod N: at N=8 the pair (1, 9) reads row x+1
+        # twice, so its grid holds only the labels {0, 3} and the table
+        # that passes at shift_bound 2 would count 9 > 8 on it
+        t = search_table(3, 1, SPEC34, "random", trials=1000, seed=2026)
+        assert verify_shift_pair_bound(t, SPEC34, mode, trials=50, seed=1).ok
+        for verify in (verify_shift_pair_bound, verify_color_bound):
+            with pytest.raises(ParameterError, match="shift_bound=9 exceeds N=8"):
+                verify(t, BalanceSpec(S=4, shift_bound=9), mode, trials=50, seed=1)
+        # N itself is a valid bound: shifts 1..N are distinct mod N
+        at_n = verify_shift_pair_bound(t, BalanceSpec(S=4, shift_bound=8), mode, trials=5, seed=1)
+        assert isinstance(at_n, VerifyResult)
+
     def test_sampled_mode_finds_gross_violation(self):
         r = verify_shift_pair_bound(
             Table.constant(3, 1, 0), SPEC34, "sampled", trials=20, seed=5
@@ -378,6 +392,11 @@ def hit_trial(table: Table) -> int:
 
 
 class TestSearch:
+    @pytest.mark.parametrize("strategy", ["random", "exhaustive"])
+    def test_shift_bound_past_N_rejected(self, strategy):
+        with pytest.raises(ParameterError, match="shift_bound=5 exceeds N=4"):
+            search_table(2, 1, BalanceSpec(S=2, shift_bound=5), strategy, trials=3, seed=0)
+
     @settings(max_examples=40, deadline=None)
     @given(
         n=st.integers(2, 4),
@@ -417,6 +436,10 @@ class TestSearch:
     @pytest.mark.parametrize("S,r", [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3)])
     def test_exhaustive_search_matches_per_table_loop(self, m, S, r):
         spec = BalanceSpec(S, r)
+        if r > 2:  # past N = 2, where shifts mod N would read one row twice
+            with pytest.raises(ParameterError, match="shift_bound=3 exceeds N=2"):
+                search_table(1, m, spec, "exhaustive")
+            return
         assert_same_search(
             search_table(1, m, spec, "exhaustive"),
             oracles.per_trial_search(1, m, spec, "exhaustive"),

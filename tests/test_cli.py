@@ -1,9 +1,16 @@
 import argparse
+import itertools
+import os
 import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kextract import btable, condense, extend, stats
 from kextract.cli import _pair_input, main
@@ -112,6 +119,33 @@ class TestTableCommands:
             "--shift-bound", "2",
         )
         assert code == 0 and stdout == "OK\n"
+
+    @pytest.mark.parametrize("command", ["verify", "search"])
+    def test_shift_bound_past_N_exits_2(self, capsys, tmp_path, command):
+        # verify at parent: VIOLATION, a row read twice by the pair (1, 9)
+        good = tmp_path / "good.ktb"
+        run(
+            capsys, "table", "search", "--n", "3", "--m", "1", "--S", "4",
+            "--shift-bound", "2", "--trials", "1000", "--seed", "2026",
+            "--out", str(good),
+        )
+        where = ["--table", str(good)] if command == "verify" else [
+            "--n", "3", "--m", "1", "--seed", "1", "--trials", "5",
+            "--out", str(tmp_path / "t.ktb"),
+        ]
+        code, out, err = run(
+            capsys, "table", command, *where, "--S", "4", "--shift-bound", "9"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: shift_bound=9 exceeds N=8\n"
+
+    def test_shift_bound_past_N_exits_2_before_colour_scan(self, capsys, constant_m4_table):
+        # the colour bound fails on this table, but the spec is refused first
+        code, out, err = run(
+            capsys, "table", "verify", "--table", constant_m4_table, "--S", "4",
+            "--shift-bound", "9",
+        )
+        assert code == 2 and out == "" and err == "error: shift_bound=9 exceeds N=8\n"
 
     def test_verify_violation_exits_1(self, capsys, constant_m4_table):
         code, out, _ = run(
@@ -532,6 +566,54 @@ class TestDistCommands:
         code, out, err = run(capsys, "dist", "mindent", str(path))
         assert code == 2 and out == "" and "position 13" in err
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_push_text_matches_reference_layer(self, capsys, tmp_path, n):
+        # the dict-of-counts pushforward and writer that the arrays
+        # replaced, over schoolbook products
+        N, modulus = 1 << n, field_params(n).modulus
+        i, j = N - 1, max(1, N // 3)
+        iz, jz = ([oracles.gf_mul(e, x2, modulus) for x2 in range(N)] for e in (i, j))
+        grid = np.random.default_rng(n).integers(0, 8, size=(N, N), dtype=np.uint32)
+        path = tmp_path / "t.ktb"
+        btable.write_table(btable.Table(n, 3, grid), path)
+        cells = grid.tolist()
+        cases = [
+            (["--n", str(n), "--map", "xor"], n, lambda x1, x2: x1 ^ x2),
+            (["--n", str(n), "--map", "extend", "--i", str(i)], n, lambda x1, x2: x1 ^ iz[x2]),
+            (["--n", str(n), "--map", "extend-pair", "--i", str(i), "--j", str(j)], 2 * n,
+             lambda x1, x2: (x1 ^ iz[x2]) << n | (x1 ^ jz[x2])),
+            (["--map", "table", "--table", str(path)], 3, lambda x1, x2: cells[x1][x2]),
+        ]
+        for flags, bits, fn in cases:
+            code, out, _ = run(capsys, "dist", "push", *flags)
+            assert code == 0
+            assert out == oracles.dict_dist_to_text(bits, oracles.dict_pushforward(fn, n))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_push_extend_pair_every_pair_matches_reference(self, capsys, n):
+        N, modulus = 1 << n, field_params(n).modulus
+        cols = {e: [oracles.gf_mul(e, x2, modulus) for x2 in range(N)] for e in range(1, N)}
+        uniform = oracles.FractionDist.uniform(2 * n)
+        for i, j in itertools.permutations(range(1, N), 2):
+            ref = oracles.dict_pushforward(
+                lambda x1, x2: (x1 ^ cols[i][x2]) << n | (x1 ^ cols[j][x2]), n
+            )
+            code, out, _ = run(
+                capsys, "dist", "push", "--n", str(n), "--map", "extend-pair",
+                "--i", str(i), "--j", str(j),
+            )
+            assert code == 0 and out == oracles.dict_dist_to_text(2 * n, ref)
+            d = stats.dist_from_text(out)
+            f = oracles.FractionDist(2 * n, {v: Fraction(c, N * N) for v, c in ref.items()})
+            assert d.probs == f.probs
+            assert stats.min_entropy(d) == oracles.fraction_min_entropy(f)
+            assert stats.statistical_distance(d, stats.Dist.uniform(2 * n)) == (
+                oracles.fraction_statistical_distance(f, uniform)
+            )
+            assert stats.epsilon_close_to_min_entropy(d, 2 * n) == (
+                oracles.fraction_epsilon_close(f, 2 * n)
+            )
+
     def test_push_missing_args_exit_2(self, capsys):
         code, _, err = run(capsys, "dist", "push", "--map", "extend", "--n", "2")
         assert code == 2 and "--i" in err
@@ -645,3 +727,142 @@ def test_cli_import_leaves_mpmath_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert proc.stdout == "False\n"
+
+
+# -- argv fuzzing ------------------------------------------------------------
+#
+# Every subcommand with each of its flags left out or given a value that is
+# valid, negative, huge, NaN, non-hex, empty or malformed.  Sizes stay at
+# n <= 3 and trials stay few, so each run is small whatever it parses.
+
+_NUMBER = st.sampled_from(
+    ["-1", "0", "1", "2", "3", "99999999999999999999", "-99999999999999999999",
+     "nan", "inf", "-inf", "", "zz", "0x1", "1e3", "0.5", "1,2", "-0", " 1", "1_0"]
+)
+_SMALL = st.sampled_from(["-1", "0", "1", "2", "3", "nan", "", "zz", "0.5"])  # sizes that bound the work
+_HEX = st.sampled_from(["0", "f", "05", "03", "ff", "a5", "zz", "", "0x1", "F", "-1", "123"])
+_INTS = st.sampled_from(["0", "0,1", "1,2,3", "-1", "", ",", "zz", "5", "99999999999999999999"])
+_BACKEND = st.sampled_from(["lzma", "bz2", "zz", ""])
+_MODE = st.sampled_from(["exhaustive", "sampled", "zz"])
+
+_COMMANDS = {
+    ("extend",): [("x1", _HEX), ("x2", _HEX), ("--count", _NUMBER), ("--k", _NUMBER)],
+    ("table", "search"): [
+        ("--n", _SMALL), ("--m", _SMALL), ("--S", _NUMBER), ("--shift-bound", _NUMBER),
+        ("--mode", _MODE), ("--trials", _SMALL), ("--seed", _NUMBER),
+        ("--budget", _NUMBER), ("--out", "out"),
+    ],
+    ("table", "verify"): [
+        ("--table", "path"), ("--S", _NUMBER), ("--shift-bound", _NUMBER),
+        ("--mode", _MODE), ("--trials", _SMALL), ("--seed", _NUMBER), ("--budget", _NUMBER),
+    ],
+    ("table", "schedule"): [
+        ("--n", _NUMBER), ("--k", _NUMBER), ("--s", _NUMBER), ("--alpha", _NUMBER),
+    ],
+    ("table", "apply"): [
+        ("--table", "path"), ("x1", _HEX), ("x2", _HEX), ("--x1-file", "path"),
+        ("--x2-file", "path"), ("--bits", _NUMBER), ("--count", _NUMBER),
+    ],
+    ("condense", "apply"): [
+        ("--table", "path"), ("x1", _HEX), ("x2", _HEX), ("--alpha", _NUMBER),
+        ("--delta", _NUMBER), ("--c", _NUMBER),
+    ],
+    ("condense", "verify"): [
+        ("--table", "path"), ("--delta", _NUMBER), ("--epsilon", _NUMBER), ("--c", _NUMBER),
+        ("--colors", _INTS), ("--mode", _MODE), ("--trials", _SMALL), ("--seed", _NUMBER),
+        ("--budget", _NUMBER),
+    ],
+    ("condense", "deficit"): [("--table", "path"), ("--rows", _INTS), ("--cols", _INTS)],
+    ("estimate", "k"): [("file", "path"), ("--manifest", "path"), ("--backend", _BACKEND)],
+    ("estimate", "dep"): [
+        ("file1", "path"), ("file2", "path"), ("--backend", _BACKEND), ("--alpha", _NUMBER),
+    ],
+    ("estimate", "symmetry"): [("file1", "path"), ("file2", "path"), ("--backend", _BACKEND)],
+    ("dist", "push"): [
+        ("--map", st.sampled_from(["xor", "extend", "extend-pair", "table", "zz"])),
+        ("--n", _SMALL), ("--i", _NUMBER), ("--j", _NUMBER), ("--table", "path"),
+        ("--budget", _NUMBER), ("--out", "out"),
+    ],
+    ("dist", "mindent"): [("dist", "path")],
+    ("dist", "sd"): [("dist1", "path"), ("dist2", "path")],
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Paths an argv may name: valid inputs of each kind, and bad ones."""
+    root = tmp_path_factory.mktemp("fuzz")
+    btable.write_table(btable.Table.constant(2, 1, 1), root / "t.ktb")
+    (root / "u.dist").write_text(stats.dist_to_text(stats.Dist.uniform(2)))
+    (root / "a.bin").write_bytes(bytes(range(64)))
+    (root / "empty").write_bytes(b"")
+    (root / "junk").write_bytes(b"\xff\x00junk")
+    (root / "list").write_text(f"{root / 'a.bin'}\n")
+    paths = [root / name for name in ("t.ktb", "u.dist", "a.bin", "empty", "junk", "list")]
+    return root, [str(p) for p in paths + [root / "missing", root]]
+
+
+def _draw_argv(data, root, paths):
+    command = data.draw(st.sampled_from(sorted(_COMMANDS)), label="command")
+    argv = list(command)
+    for flag, values in _COMMANDS[command]:
+        if not data.draw(st.booleans(), label=flag):
+            continue
+        if values == "path":
+            value = data.draw(st.sampled_from(paths), label=flag)
+        elif values == "out":
+            value = data.draw(st.sampled_from([str(root / "out.bin"), str(root), ""]), label=flag)
+        else:
+            value = data.draw(values, label=flag)
+        # a value that starts with "-" is passed as --flag=value
+        if not flag.startswith("--"):
+            argv.append(value)
+        elif value.startswith("-"):
+            argv.append(f"{flag}={value}")
+        else:
+            argv += [flag, value]
+    return argv
+
+
+class TestArgvFuzz:
+    @settings(
+        max_examples=150, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_exit_codes_and_one_error_line(self, capsys, fuzz_files, data):
+        root, paths = fuzz_files
+        argv = _draw_argv(data, root, paths)
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (argv, err)
+        if code == 2:
+            assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
+
+    # regressions found by the fuzzing above
+
+    def test_extend_huge_k_exits_2_at_once(self):
+        # n^k was built before any range check: 8^(10^20) never finished
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "kextract.cli", "extend", "05", "03",
+             "--k", "99999999999999999999"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: --k 99999999999999999999: n^k outputs exceed 2^8 - 1\n"
+
+    def test_schedule_huge_n_exits_2(self, capsys):
+        # S = 2^ceil(2s/3) was built as an int: MemoryError, exit 3
+        code, out, err = run(
+            capsys, "table", "schedule", "--n", "99999999999999999999", "--k", "1",
+            "--s", "99999999999999999999", "--alpha", "0",
+        )
+        assert code == 2 and out == "" and err.startswith("error: n=99999999999999999999 above")
+
+    def test_manifest_path_with_nul_exits_2(self, capsys, tmp_path):
+        # open() raised ValueError on the NUL byte: exit 3
+        manifest = tmp_path / "list"
+        manifest.write_bytes(b"a\x00b\n")
+        code, out, err = run(capsys, "estimate", "k", "--manifest", str(manifest))
+        assert code == 2 and out == "" and err.count("error:") == 1

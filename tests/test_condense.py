@@ -303,7 +303,7 @@ class TestMinEntropyDeficit:
             for y in cols:
                 v = t.lookup(x, y)
                 counts[v] = counts.get(v, 0) + 1
-        dist = stats.Dist(2, counts)
+        dist = stats.Dist(2, list(counts), list(counts.values()))
         expected = 2 - stats.min_entropy(dist)
         assert min_entropy_deficit(t, rows, cols) == expected
 

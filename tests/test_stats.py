@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,9 +11,10 @@ from hypothesis import strategies as st
 
 from kextract.errors import DecodeError, ParameterError, ResourceError
 from kextract.extend import ExtendRequest, extend
-from kextract.gf2n import field_params
+from kextract.gf2n import field_params, multiples
 from kextract.stats import (
     Dist,
+    count_rows,
     dist_from_text,
     dist_to_text,
     epsilon_close_to_min_entropy,
@@ -20,6 +22,11 @@ from kextract.stats import (
     pushforward,
     statistical_distance,
 )
+
+
+def D(domain_bits, counts):
+    """Dist from an {outcome: count} dict."""
+    return Dist(domain_bits, list(counts), list(counts.values()))
 
 
 def rational_dist(domain_bits, denominator=16):
@@ -30,7 +37,7 @@ def rational_dist(domain_bits, denominator=16):
         weights = [0] * size
         for c in cuts:
             weights[c % size] += 1
-        return Dist(domain_bits, {v: w for v, w in enumerate(weights) if w})
+        return D(domain_bits, {v: w for v, w in enumerate(weights) if w})
 
     return st.lists(
         st.integers(0, size - 1), min_size=denominator, max_size=denominator
@@ -43,27 +50,28 @@ class TestDist:
         # counts can fail to make a distribution
         for counts in ({0: 0}, {}, {0: Fraction(1, 2)}, {0: 0.5}):
             with pytest.raises(ParameterError):
-                Dist(1, counts)
+                D(1, counts)
 
     def test_outcome_range_checked(self):
         for outcome in (2, -1):
             with pytest.raises(ParameterError):
-                Dist(1, {outcome: 1})
+                D(1, {outcome: 1})
         with pytest.raises(ParameterError):
-            Dist(-1, {0: 1})
+            D(-1, {0: 1})
 
     def test_negative_probability_rejected(self):
         with pytest.raises(ParameterError):
-            Dist(1, {0: 3, 1: -1})
+            D(1, {0: 3, 1: -1})
 
     def test_counts_in_lowest_terms(self):
-        d = Dist(2, {0: 6, 3: 2, 1: 0})
-        assert d.counts == {0: 3, 3: 1, 1: 0} and d.total == 4
-        assert d == Dist(2, {0: 3, 3: 1, 1: 0}) != Dist(2, {0: 3, 3: 1})
-        assert Dist(3, {5: 7}) == Dist.point_mass(3, 5)
+        d = D(2, {0: 6, 3: 2, 1: 0})
+        assert d.outcomes.tolist() == [0, 1, 3] and d.counts.tolist() == [3, 0, 1]
+        assert d.total == 4
+        assert d == D(2, {0: 3, 3: 1, 1: 0}) != D(2, {0: 3, 3: 1})
+        assert D(3, {5: 7}) == Dist.point_mass(3, 5)
 
     def test_probs_is_a_read_only_view(self):
-        d = Dist(2, {0: 3, 1: 1})
+        d = D(2, {0: 3, 1: 1})
         assert d.probs == {0: Fraction(3, 4), 1: Fraction(1, 4)}
         with pytest.raises(TypeError):
             d.probs[0] = Fraction(1)
@@ -91,7 +99,7 @@ class TestMinEntropy:
         assert min_entropy(Dist.point_mass(4, 11)) == 0.0
 
     def test_fractional_max(self):
-        d = Dist(2, {0: 3, 1: 3, 2: 2})
+        d = D(2, {0: 3, 1: 3, 2: 2})
         assert min_entropy(d) == pytest.approx(math.log2(8 / 3), abs=2**-40)
 
 
@@ -113,7 +121,7 @@ class TestStatisticalDistance:
         size = 1 << bits
         d1 = Dist.uniform(bits)
         weights = [3] + [1] * (size - 1)
-        d2 = Dist(bits, dict(enumerate(weights)))
+        d2 = D(bits, dict(enumerate(weights)))
         zero = Fraction(0)
         for a, b in [(d1, d2), (d2, d1)]:
             sd = statistical_distance(a, b)
@@ -181,7 +189,7 @@ class TestEpsilonCloseToMinEntropy:
 
     def test_monotone_in_k(self):
         # relaxing the min-entropy floor can only move the target closer
-        d = Dist(2, {0: 5, 1: 2, 2: 1})
+        d = D(2, {0: 5, 1: 2, 2: 1})
         values = [epsilon_close_to_min_entropy(d, k) for k in (2, 1.5, 1, 0.5, 0)]
         assert values == sorted(values, reverse=True)
         assert values[-1] == 0
@@ -189,7 +197,7 @@ class TestEpsilonCloseToMinEntropy:
 
 class TestSerialization:
     def test_round_trip(self):
-        d = Dist(5, {0: 1, 17: 1, 31: 2})
+        d = D(5, {0: 1, 17: 1, 31: 2})
         assert dist_from_text(dist_to_text(d)) == d
 
     def test_missing_header(self):
@@ -202,12 +210,12 @@ class TestSerialization:
 
     def test_blank_lines_and_spacing_accepted(self):
         text = "\n  bits 2\n\n 0  1/4\t\n3 3/4\n\n"
-        assert dist_from_text(text) == Dist(2, {0: 1, 3: 3})
+        assert dist_from_text(text) == D(2, {0: 1, 3: 3})
 
     def test_mixed_and_unreduced_denominators(self):
         text = "bits 3\n1 2/6\n2 1/2\n7 1/6\n5 0/9\n"
         d = dist_from_text(text)
-        assert d == Dist(3, {1: 2, 2: 3, 7: 1, 5: 0})
+        assert d == D(3, {1: 2, 2: 3, 7: 1, 5: 0})
         assert dist_to_text(d) == "bits 3\n1 1/3\n2 1/2\n5 0/1\n7 1/6\n"
 
     @pytest.mark.parametrize(
@@ -319,3 +327,222 @@ class TestAgainstFractionReference:
         u, ru = Dist.uniform(2 * n), oracles.FractionDist.uniform(2 * n)
         assert statistical_distance(d, u) == oracles.fraction_statistical_distance(ref, ru)
         assert epsilon_close_to_min_entropy(d, 2 * n) == oracles.fraction_epsilon_close(ref, 2 * n)
+
+
+def _dict_probs(counts):
+    total = sum(counts.values())
+    return {v: Fraction(c, total) for v, c in counts.items()}
+
+
+class TestAgainstDictReference:
+    """The arrays against the dict-of-counts pushforward, writer and
+    parser kept in tests/oracles.py."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        out_bits=st.integers(1, 12),
+        spread=st.integers(0, 12),
+    )
+    def test_random_map_counts_and_text(self, seed, n, out_bits, spread):
+        fn = _random_map(seed, n, out_bits, min(spread, out_bits))
+        d, ref = pushforward(fn, n, out_bits), oracles.dict_pushforward(fn, n)
+        assert d.probs == _dict_probs(ref)
+        text = dist_to_text(d)
+        assert text == oracles.dict_dist_to_text(out_bits, ref)
+        bits, back = oracles.dict_dist_from_text(text)
+        assert bits == out_bits and dist_from_text(text) == d
+        assert _dict_probs(back) == d.probs
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        bits=st.integers(0, 64),
+        data=st.data(),
+    )
+    def test_wide_outcomes_and_large_counts(self, bits, data):
+        # outcomes up to 64 bits and counts up to 2^62, whose totals stay
+        # below 2^63 and whose SD needs the lcm of two such totals
+        def draw_dist():
+            size = data.draw(st.integers(1, min(6, 1 << bits)))
+            outcomes = data.draw(st.lists(
+                st.integers(0, (1 << bits) - 1), min_size=size, max_size=size, unique=True
+            ))
+            counts = data.draw(st.lists(
+                st.integers(0, 1 << (62 - 3)), min_size=size, max_size=size
+            ).filter(any))
+            return dict(zip(outcomes, counts))
+
+        ref1, ref2 = draw_dist(), draw_dist()
+        d1, d2 = D(bits, ref1), D(bits, ref2)
+        text = dist_to_text(d1)
+        assert text == oracles.dict_dist_to_text(bits, ref1)
+        assert dist_from_text(text) == d1 and d1.probs == _dict_probs(ref1)
+        f1, f2 = (oracles.FractionDist(bits, _dict_probs(r)) for r in (ref1, ref2))
+        assert statistical_distance(d1, d2) == oracles.fraction_statistical_distance(f1, f2)
+        assert min_entropy(d1) == oracles.fraction_min_entropy(f1)
+        for k in (0, bits / 3, bits // 2, bits):
+            assert epsilon_close_to_min_entropy(d1, k) == oracles.fraction_epsilon_close(f1, k)
+
+    def test_sd_past_int64_uses_exact_ints(self):
+        # two totals whose lcm passes 2^63: the scaled counts do too
+        p, q = (1 << 61) - 1, (1 << 31) - 1  # Mersenne primes
+        d1, d2 = D(1, {0: 1, 1: p - 1}), D(1, {0: q - 1, 1: 1})
+        f1, f2 = (
+            oracles.FractionDist(1, {0: Fraction(a, t), 1: Fraction(t - a, t)})
+            for a, t in ((1, p), (q - 1, q))
+        )
+        assert math.lcm(d1.total, d2.total) > (1 << 63)
+        assert statistical_distance(d1, d2) == oracles.fraction_statistical_distance(f1, f2)
+
+    def test_counting_extend_pair_n10_memory(self):
+        # the Counter over 2^20 Python ints that this replaced peaked at
+        # about 120 MB; the dense counts take 8 MB each
+        n = 10
+        cols = [np.array(multiples(e, 1 << n, field_params(n)), np.uint64) for e in (3, 5)]
+
+        def rows(x1):
+            z = [x1[:, None] ^ col for col in cols]
+            return (z[0] << np.uint64(n) | z[1]).ravel()
+
+        tracemalloc.start()
+        try:
+            d = count_rows(rows, n, 2 * n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d == Dist.uniform(2 * n)
+        assert peak < 48 << 20
+
+
+class TestLimits:
+    """Outcomes wider than 64 bits and totals past int64 are refused."""
+
+    def test_64_bit_outcomes_round_trip(self):
+        d = D(64, {0: 1, (1 << 64) - 1: 3})
+        text = dist_to_text(d)
+        assert text == "bits 64\n0000000000000000 1/4\nffffffffffffffff 3/4\n"
+        assert dist_from_text(text) == d
+        assert pushforward(lambda x1, x2: (1 << 64) - 1 - x1, 1, 64) == D(
+            64, {(1 << 64) - 2: 1, (1 << 64) - 1: 1}
+        )
+
+    def test_wider_outcomes_refused(self):
+        for build in (
+            lambda: D(65, {0: 1}),
+            lambda: D(64, {1 << 64: 1}),
+            lambda: Dist.uniform(65),
+            lambda: pushforward(lambda x1, x2: 1 << 64, 1, 64),
+            lambda: pushforward(lambda x1, x2: -1, 1, 64),
+            lambda: pushforward(lambda x1, x2: 0, 1, 65),
+        ):
+            with pytest.raises(ParameterError):
+                build()
+        with pytest.raises(DecodeError) as info:
+            dist_from_text("bits 65\n0 1/1\n")
+        assert info.value.position == 0
+        with pytest.raises(DecodeError) as info:  # within 64 bits it is the range check
+            dist_from_text("bits 64\n10000000000000000 1/1\n")
+        assert info.value.position == 1
+
+    def test_total_past_int64_refused(self):
+        with pytest.raises(ParameterError, match="2\\^63"):
+            D(1, {0: 1 << 62, 1: (1 << 62) + 1})
+        assert D(1, {0: 1 << 62, 1: (1 << 62) - 1}).total == (1 << 63) - 1
+        with pytest.raises(ParameterError):
+            D(1, {0: 1 << 63})
+
+    @pytest.mark.parametrize(
+        "text,position",
+        [
+            ("bits 1\n0 1/9223372036854775807\n1 9223372036854775806/9223372036854775807\n", None),
+            ("bits 1\n0 1/9223372036854775808\n1 1/2\n", 1),  # a denominator past 2^63 - 1
+            ("bits 1\n0 9223372036854775808/9223372036854775808\n", 1),
+            ("bits 1\n0 1/" + "0" * 30 + "2\n1 1/2\n", None),  # zeros beyond 19 places
+            ("bits 2\n0 1/4611686018427387904\n1 1/3\n2 1/5\n", 4),  # lcm past 2^63 - 1
+        ],
+    )
+    def test_denominator_limit(self, text, position):
+        _assert_parses_like_reference(text)
+        if position is None:
+            assert dist_from_text(text).total <= (1 << 63) - 1
+            return
+        with pytest.raises(DecodeError) as info:
+            dist_from_text(text)
+        assert info.value.position == position
+
+
+def _assert_parses_like_reference(text):
+    """Same verdict, and same DecodeError position, as today's loop with
+    the array limits."""
+    try:
+        bits, counts = oracles.dict_dist_from_text(text, limits=True)
+    except DecodeError as exc:
+        with pytest.raises(DecodeError) as info:
+            dist_from_text(text)
+        assert info.value.position == exc.position, (text, str(exc), str(info.value))
+        return
+    d = dist_from_text(text)
+    assert d.domain_bits == bits and d.probs == _dict_probs(counts)
+
+
+_SPACE = st.sampled_from([" ", "\t", "  ", "\xa0", "\u3000", "\x1f", ""])
+_BREAK = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\n \n"])
+
+
+@st.composite
+def _near_valid_text(draw):
+    """Distribution text with random spacing, line breaks, number sizes
+    and one-character damage."""
+    bits = draw(st.sampled_from([0, 1, 2, 3, 5, 8, 63, 64, 65, 99]))
+    size = draw(st.integers(0, 6))
+    number = st.one_of(
+        st.integers(0, 9), st.integers(0, 1 << 64), st.sampled_from([(1 << 63) - 1, 1 << 63])
+    )
+    parts = [draw(_SPACE), f"bits{draw(_SPACE) or ' '}{bits}", draw(_BREAK)]
+    for _ in range(size):
+        outcome = draw(st.integers(0, (1 << min(bits, 66)) + 1))
+        digits = draw(st.sampled_from(["", "0", "000"])) + f"{outcome:x}"
+        num, den = draw(number), draw(number)
+        line = f"{draw(_SPACE)}{digits}{draw(_SPACE) or ' '}{num}/{den}{draw(_SPACE)}"
+        if draw(st.integers(0, 4)) == 0:  # damage one character
+            k = draw(st.integers(0, len(line)))
+            line = line[:k] + draw(st.sampled_from(["/", "x", "A", " ", "-", "é", ""])) + line[k + 1:]
+        parts += [line, draw(_BREAK)]
+    return "".join(parts)
+
+
+class TestParserAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="bits 0123456789abcdefABx/+-_\n\t\r\x0b\x85\u2028\xa0é", max_size=80))
+    def test_fuzzed_text(self, text):
+        _assert_parses_like_reference(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_near_valid_text())
+    def test_near_valid_text(self, text):
+        _assert_parses_like_reference(text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        bits=st.integers(1, 8),
+        lines=st.lists(st.tuples(st.integers(0, 255), st.integers(0, 3), st.integers(1, 4)), max_size=8),
+        prefix=st.text(alphabet="bits 0123456789abcdef/\n", max_size=8),
+    )
+    def test_exact_sums(self, bits, lines, prefix):
+        # near-valid bodies whose masses often sum to exactly 1
+        body = "".join(f"{v % (1 << bits):x} {a}/{b}\n" for v, a, b in lines)
+        for text in (f"bits {bits}\n{body}", prefix + body):
+            _assert_parses_like_reference(text)
+
+    def test_chunks_keep_line_positions(self, monkeypatch):
+        # a bad line past the first chunk, and a repeat across chunks
+        import kextract.stats as stats
+
+        monkeypatch.setattr(stats, "TEXT_CHUNK", 16)
+        good = dist_to_text(Dist.uniform(6))
+        assert dist_from_text(good) == Dist.uniform(6)
+        lines = good.splitlines(keepends=True)
+        for k, bad in ((40, "zz 1/64\n"), (50, lines[3]), (64, "\n\n00 0/0\n")):
+            text = "".join(lines[:k] + [bad] + lines[k + 1:])
+            _assert_parses_like_reference(text)
