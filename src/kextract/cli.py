@@ -11,6 +11,11 @@ read most-significant bit first.  Every randomized run prints its seed,
 and rerunning with the same seed reproduces the output byte for byte.
 The KEXTRACT_BUDGET environment variable overrides default enumeration
 budgets; --budget overrides both.
+
+Only the table, condense and dist commands use arrays: their handlers
+import numpy and the array modules in their own bodies, so extend and
+estimate start without numpy.  Drawing a seed imports secrets the same
+way.
 """
 
 from __future__ import annotations
@@ -18,12 +23,9 @@ from __future__ import annotations
 import argparse
 import os
 import re
-import secrets
 import sys
 
-import numpy as np
-
-from . import btable, condense, extend, kproxy, stats
+from . import extend, kproxy
 from .errors import (
     BackendError,
     DecodeError,
@@ -78,6 +80,8 @@ def _seed(args) -> int:
     """The run's seed; drawn and reported when not supplied."""
     if args.seed is not None:
         return args.seed
+    import secrets
+
     return secrets.randbits(63)
 
 
@@ -138,6 +142,8 @@ def _cmd_extend(args) -> int:
 
 
 def _cmd_table_search(args) -> int:
+    from . import btable
+
     spec = btable.BalanceSpec(S=args.S, shift_bound=args.shift_bound)
     budget = _budget(args)
     if args.mode == "exhaustive":
@@ -178,6 +184,8 @@ def _format_witness(witness) -> str:
 
 
 def _cmd_table_verify(args) -> int:
+    from . import btable
+
     table = btable.read_table(args.table)
     spec = btable.BalanceSpec(S=args.S, shift_bound=args.shift_bound)
     kw = _verify_kw(args)
@@ -193,6 +201,8 @@ def _cmd_table_verify(args) -> int:
 
 
 def _cmd_table_schedule(args) -> int:
+    from . import btable
+
     sched = btable.derive_table_schedule(args.n, args.k, args.s, args.alpha)
     print(f"m {sched.m}")
     print(f"S 2^{sched.S.bit_length() - 1}")
@@ -201,6 +211,8 @@ def _cmd_table_schedule(args) -> int:
 
 
 def _cmd_table_apply(args) -> int:
+    from . import btable
+
     table = btable.read_table(args.table)
     x1, x2 = _pair_input(args, table.n)
     outputs = btable.apply_table(x1, x2, table, args.count)
@@ -211,10 +223,13 @@ def _cmd_table_apply(args) -> int:
 
 
 def _cmd_condense_apply(args) -> int:
+    from . import btable, condense
+
     table = btable.read_table(args.table)
     x, y = _pair_input(args, table.n)
+    c = condense.DEFAULT_C if args.c is None else args.c
     schedule = condense.CondenseSchedule(
-        n=table.n, delta=args.delta, alpha=args.alpha, c=args.c
+        n=table.n, delta=args.delta, alpha=args.alpha, c=c
     )
     result = condense.apply_condenser(x, y, table, schedule)
     print(f"{result.z:0{_hex_width(table.m)}x}")
@@ -223,13 +238,16 @@ def _cmd_condense_apply(args) -> int:
 
 
 def _cmd_condense_verify(args) -> int:
+    from . import btable, condense
+
     table = btable.read_table(args.table)
     colors = (
         range(table.M) if args.colors is None else _int_list(args.colors, "--colors")
     )
+    c = condense.DEFAULT_C if args.c is None else args.c
     kw = _verify_kw(args)
     report = condense.verify_balance(
-        table, args.delta, args.epsilon, args.c, colors, args.mode, **kw
+        table, args.delta, args.epsilon, c, colors, args.mode, **kw
     )
     _print_seed(kw)
     if report.ok:
@@ -244,6 +262,8 @@ def _cmd_condense_verify(args) -> int:
 
 
 def _cmd_condense_deficit(args) -> int:
+    from . import btable, condense
+
     table = btable.read_table(args.table)
     rows = range(table.N) if args.rows is None else _int_list(args.rows, "--rows")
     cols = range(table.N) if args.cols is None else _int_list(args.cols, "--cols")
@@ -303,6 +323,10 @@ def _cmd_estimate_symmetry(args) -> int:
 
 
 def _cmd_dist_push(args) -> int:
+    import numpy as np
+
+    from . import btable, stats
+
     budget = _budget(args, stats.DEFAULT_ENUM_BUDGET)
     if args.map == "table":
         if args.table is None:
@@ -330,29 +354,28 @@ def _cmd_dist_push(args) -> int:
             return (z[0] << np.uint64(n) | z[1] if len(z) == 2 else z[0]).ravel()
 
         dist = stats.count_rows(rows, n, n * len(cols), budget)
-    text = stats.dist_to_text(dist)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        with open(args.out, "wb") as fh:
+            for block in stats._text_blocks(dist):  # one block of the text at a time
+                fh.write(block)
         print(f"wrote {args.out}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(stats.dist_to_text(dist))
     return 0
 
 
-def _read_dist(path: str) -> stats.Dist:
-    return stats.dist_from_text(_read_text(path))
-
-
 def _cmd_dist_mindent(args) -> int:
-    dist = _read_dist(args.dist)
+    from . import stats
+
+    dist = stats.dist_from_text(_read_text(args.dist))
     print(f"{stats.min_entropy(dist):.12g}")
     return 0
 
 
 def _cmd_dist_sd(args) -> int:
-    d1 = _read_dist(args.dist1)
-    d2 = _read_dist(args.dist2)
+    from . import stats
+
+    d1, d2 = (stats.dist_from_text(_read_text(p)) for p in (args.dist1, args.dist2))
     sd = stats.statistical_distance(d1, d2)
     print(f"{sd.numerator}/{sd.denominator}")
     return 0
@@ -442,14 +465,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pair_input_flags(p)
     p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--c", type=int, default=condense.DEFAULT_C)
+    p.add_argument("--c", type=int)
     p.set_defaults(fn=_cmd_condense_apply)
 
     p = csub.add_parser("verify", help="check the colored-cell balance bound")
     p.add_argument("--table", required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--c", type=int, default=condense.DEFAULT_C)
+    p.add_argument("--c", type=int)
     p.add_argument("--colors", help="comma-separated colors (default: all)")
     _add_verify_flags(p)
     p.set_defaults(fn=_cmd_condense_verify)

@@ -89,9 +89,13 @@ class DepEstimate:
 
 
 def dependency(x: bytes, y: bytes, comp: Compressor, alpha: float) -> DepEstimate:
-    """Directional complexity drops of x and y against each other."""
+    """Directional complexity drops of x and y against each other;
+    ``alpha`` >= 0 bits is the most either may drop for an INDEPENDENT
+    verdict."""
     if math.isnan(alpha):
         raise ParameterError("alpha must be a number, got nan")
+    if alpha < 0:  # a number of bits
+        raise ParameterError(f"alpha must be >= 0 bits, got {alpha}")
     kx = k_estimate(x, comp)
     ky = k_estimate(y, comp)
     kxy = k_estimate(x + y, comp)

@@ -33,7 +33,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -284,45 +284,61 @@ def epsilon_close_to_min_entropy(d: Dist, k_bits: float) -> Fraction:
     return Fraction(excess, d.total * b)
 
 
-# Each byte's two lowercase hex digits, as one uint16 of two ASCII bytes.
+# Each byte's two lowercase hex digits, as one uint16 of two ASCII bytes,
+# and each 16-bit word's four, as one uint32.
 _HEX_PAIRS = np.frombuffer(b"".join(b"%02x" % k for k in range(256)), np.uint16)
+_HEX_QUADS = np.stack(
+    np.broadcast_arrays(_HEX_PAIRS[:, None], _HEX_PAIRS[None, :]), axis=-1
+).view(np.uint32).ravel()
 
 
-def _distinct(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct counts, and each count's index among them:
-    by a table over 0..max when that is no longer than the array, else
-    by sorting."""
+def _mass_index(counts: np.ndarray) -> tuple[np.ndarray, Callable[[slice], np.ndarray]]:
+    """The sorted distinct counts, and a map from a slice of ``counts``
+    to their indices among them: by a table over 0..max when that is no
+    longer than the array, else by np.unique's inverse."""
     top = int(counts.max())
     if top >= len(counts):
-        return np.unique(counts, return_inverse=True)
+        values, inverse = np.unique(counts, return_inverse=True)
+        return values, inverse.__getitem__
     seen = np.zeros(top + 1, bool)
     seen[counts] = True
-    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[counts]
+    rank = np.cumsum(seen) - 1
+    return np.flatnonzero(seen), lambda part: rank[counts[part]]
 
 
-def dist_to_text(d: Dist) -> str:
-    """Serialize: a ``bits n`` header, then ``outcome_hex num/den`` lines
-    in outcome order, each probability in lowest terms.
+def _text_rows(outcomes: np.ndarray, width: int, lines: np.ndarray) -> bytes:
+    """One block of text: each outcome's last ``width`` hex digits (from
+    the last big-endian 16-bit words that hold them), then its row of
+    ``lines``, with the zero bytes that pad those rows dropped.  Only
+    the returned bytes outlive the call."""
+    words = -(-width // 4)
+    last = outcomes.astype(">u8").view(">u2").reshape(-1, 4)[:, 4 - words:]
+    digits = np.take(_HEX_QUADS, last).view(np.uint8)
+    rows = np.hstack((digits[:, 4 * words - width:], lines))
+    del last, digits
+    return rows[rows != 0].tobytes()
 
-    Lines are built a block at a time as rows of bytes: the outcome's
-    last ``width`` hex digits (from its eight big-endian bytes), then
-    the line's mass from a table of the distinct masses, padded with
-    zero bytes that are dropped when the rows are joined.
-    """
+
+def _text_blocks(d: Dist) -> Iterator[bytes]:
+    """``dist_to_text`` as ASCII bytes: the header, then BLOCK lines at a
+    time, each line's mass taken from a table of the distinct masses."""
     width = max(1, (d.domain_bits + 3) // 4)
-    values, index = _distinct(d.counts)
+    values, index = _mass_index(d.counts)
     g = np.gcd(values, d.total)
     masses = np.array(
         [f" {c}/{t}\n".encode() for c, t in zip((values // g).tolist(), (d.total // g).tolist())]
     )
     masses = masses.view(np.uint8).reshape(len(values), -1)
-    out = [f"bits {d.domain_bits}\n"]
+    yield f"bits {d.domain_bits}\n".encode()
     for lo in range(0, len(d.outcomes), BLOCK):
-        octets = d.outcomes[lo:lo + BLOCK].astype(">u8").view(np.uint8)
-        digits = np.take(_HEX_PAIRS, octets).view(np.uint8).reshape(-1, 16)
-        rows = np.hstack((digits[:, 16 - width:], np.take(masses, index[lo:lo + BLOCK], axis=0)))
-        out.append(rows[rows != 0].tobytes().decode("ascii"))
-    return "".join(out)
+        part = slice(lo, lo + BLOCK)
+        yield _text_rows(d.outcomes[part], width, np.take(masses, index(part), axis=0))
+
+
+def dist_to_text(d: Dist) -> str:
+    """Serialize: a ``bits n`` header, then ``outcome_hex num/den`` lines
+    in outcome order, each probability in lowest terms."""
+    return b"".join(_text_blocks(d)).decode("ascii")
 
 
 # The str.splitlines() boundaries; each is also whitespace.

@@ -3,6 +3,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from kextract import btable, condense, extend, stats
 from kextract.cli import _pair_input, main
 from kextract.errors import ParameterError
-from kextract.gf2n import field_params
+from kextract.gf2n import field_params, multiples
 
 
 def run(capsys, *argv):
@@ -412,6 +413,16 @@ class TestEstimateCommands:
         )
         assert code == 2 and out == "" and "alpha" in err
 
+    def test_dep_negative_alpha_exits_2(self, capsys, tmp_path):
+        # printed a DEPENDENT verdict and exited 1, the analytic-negative code
+        f = tmp_path / "x.bin"
+        f.write_bytes(b"abc")
+        code, out, err = run(
+            capsys, "estimate", "dep", str(f), str(f), "--alpha", "-5",
+        )
+        assert code == 2 and out == ""
+        assert err == "error: alpha must be >= 0 bits, got -5.0\n"
+
     def test_k_on_empty_file(self, capsys, tmp_path):
         f = tmp_path / "empty.bin"
         f.write_bytes(b"")
@@ -614,6 +625,55 @@ class TestDistCommands:
                 oracles.fraction_epsilon_close(f, 2 * n)
             )
 
+    @pytest.mark.parametrize("n", [2, 9])  # n = 9: the pair text spans four blocks
+    def test_push_out_file_is_dist_to_text(self, capsys, tmp_path, n):
+        N = 1 << n
+        i, j = N - 1, max(1, N // 3)
+        params = field_params(n)
+        iz, jz = (multiples(e, N, params) for e in (i, j))
+        grid = np.random.default_rng(n).integers(0, 8, size=(N, N), dtype=np.uint32)
+        table = tmp_path / "t.ktb"
+        btable.write_table(btable.Table(n, 3, grid), table)
+        cases = [
+            (["--n", str(n), "--map", "xor"], n, lambda x1, x2: x1 ^ x2),
+            (["--n", str(n), "--map", "extend", "--i", str(i)], n, lambda x1, x2: x1 ^ iz[x2]),
+            (["--n", str(n), "--map", "extend-pair", "--i", str(i), "--j", str(j)], 2 * n,
+             lambda x1, x2: (x1 ^ iz[x2]) << n | (x1 ^ jz[x2])),
+            (["--map", "table", "--table", str(table)], 3, lambda x1, x2: int(grid[x1, x2])),
+        ]
+        path = tmp_path / "out.dist"
+        for flags, bits, fn in cases:
+            code, out, _ = run(capsys, "dist", "push", *flags, "--out", str(path))
+            assert code == 0 and out == f"wrote {path}\n"
+            want = stats.dist_to_text(stats.pushforward(fn, n, bits))
+            assert path.read_bytes() == want.encode()
+
+    def test_push_out_holds_one_block_of_text(self, capsys, tmp_path, monkeypatch):
+        # the n = 10 pair text is 16 MiB; --out held it three times over:
+        # the decoded blocks, their join, and the encode on write
+        count_rows = stats.count_rows
+        held = []
+
+        def counted(*args):
+            dist = count_rows(*args)
+            held.append(dist.outcomes.nbytes + dist.counts.nbytes)
+            tracemalloc.reset_peak()  # from here on: the Dist and the write
+            return dist
+
+        monkeypatch.setattr(stats, "count_rows", counted)
+        path = tmp_path / "pair.dist"
+        tracemalloc.start()
+        try:
+            code, _, _ = run(
+                capsys, "dist", "push", "--map", "extend-pair", "--n", "10",
+                "--i", "1", "--j", "2", "--out", str(path),
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and path.stat().st_size == len("bits 20\n") + (16 << 20)
+        assert peak < held[0] + (8 << 20)
+
     def test_push_missing_args_exit_2(self, capsys):
         code, _, err = run(capsys, "dist", "push", "--map", "extend", "--n", "2")
         assert code == 2 and "--i" in err
@@ -721,12 +781,49 @@ class TestSeedReporting:
         assert "candidates" not in out and not out_path.exists()
 
 
-def test_cli_import_leaves_mpmath_unloaded():
-    code = "import sys, kextract.cli; print('mpmath' in sys.modules)"
+def _fresh_interpreter(code: str) -> str:
+    """Last stdout line of ``code`` run in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    assert proc.stdout == "False\n"
+    return proc.stdout.splitlines()[-1]
+
+
+_UNLOADED = "print('numpy' in sys.modules, 'mpmath' in sys.modules)"
+
+
+def test_cli_import_leaves_numpy_and_mpmath_unloaded():
+    assert _fresh_interpreter(f"import sys, kextract\n{_UNLOADED}") == "False False"
+    assert _fresh_interpreter(f"import sys, kextract.cli\n{_UNLOADED}") == "False False"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extend", "05", "03", "--count", "1"],
+        ["estimate", "k", "{x}"],
+        ["estimate", "dep", "{x}", "{y}", "--alpha", "64"],
+        ["estimate", "symmetry", "{x}", "{y}"],
+        ["--help"],
+        ["extend", "05", "--count"],  # a usage error
+    ],
+)
+def test_string_commands_leave_numpy_unloaded(tmp_path, argv):
+    paths = {"x": tmp_path / "x.bin", "y": tmp_path / "y.bin"}
+    for name, path in paths.items():
+        path.write_bytes(name.encode() * 64)
+    argv = [arg.format(**paths) for arg in argv]
+    code = (
+        "import sys\n"
+        "from kextract.cli import main\n"
+        "try:\n"
+        f"    main({argv!r})\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        f"{_UNLOADED}"
+    )
+    assert _fresh_interpreter(code) == "False False"
 
 
 # -- argv fuzzing ------------------------------------------------------------

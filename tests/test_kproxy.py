@@ -230,6 +230,13 @@ class TestDependency:
         with pytest.raises(ParameterError, match="alpha"):
             dependency(x, x, LZMA, alpha=math.nan)
 
+    @pytest.mark.parametrize("alpha", [-5.0, -1e-9, -math.inf])
+    def test_negative_alpha_rejected(self, alpha):
+        # alpha is a number of bits: a negative one made every pair DEPENDENT
+        x = stream(b"neg", 256)
+        with pytest.raises(ParameterError, match="alpha must be >= 0"):
+            dependency(x, x, LZMA, alpha=alpha)
+
     def test_clamping(self):
         x = stream(b"cl", 2048)
         est = dependency(x, x, LZMA, alpha=16.0)
