@@ -21,7 +21,15 @@ and the equal-color case is a single-cell event whose natural ceiling
 is 2/M, not 2/M^2; including it would make the property unsatisfiable
 for every table as soon as M >= 2.
 
-Exhaustive verification walks every size-S row subset and, per color,
+One driver, ``_verify``, runs both verifiers: it gates its inputs once
+(``BalanceSpec.check_fits``, the mode, then trials and seed when sampled
+or the pair budget when exhaustive) and returns the first violation of
+the checks ``_checks`` lists in verification order: the single-color
+grid (skipped for M <= 2, where count <= S^2 <= 2S^2/M), then each shift
+pair i != j in ``itertools.permutations`` order.  ``search_table`` walks
+the same list over stacks of candidate tables.
+
+Exhaustive verification walks every size-S row subset and, per label,
 bounds the worst column subset by the sum of the S largest per-column
 counts, which is exactly the maximum over all size-S column subsets.
 ``_scan_blocks`` does this for ``btable`` and ``condense`` on a stack of
@@ -36,8 +44,8 @@ n=3-4, m=1-2, S=4-6) from ~22 to ~123 searches/s, against one table
 at a time.  What is left is mostly drawing each random trial from its
 own generator keyed by (seed, t), ~45 us a trial, the price of
 reproducible trials.
-Sampled verification of both draws its rectangles from ``_sampled_rects``.
-For M <= 2 the single-color bound holds unscanned: count <= S^2 <= 2S^2/M.
+Sampled verification draws its rectangles from ``_sampled_rects``, keyed
+by the seed for the single-color check and by [seed, i, j] for pair (i, j).
 """
 
 from __future__ import annotations
@@ -262,29 +270,26 @@ def _first_violation(grids, K, S, most) -> list:
     return found
 
 
-def _first_exhaustive(grid, K, S, most):
-    """One grid's first (B1, B2, label, count) with count > most, else None."""
-    hit = _first_violation(grid[None], K, S, most)[0]
-    if hit is None:
-        return None
-    B1, label, count = hit
-    return B1, _top_columns(grid, B1, label, S), label, count
-
-
 def _check_trials(trials: int, seed) -> None:
     """Random trials need a positive count and a nonnegative seed."""
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
-    user_seed = seed[0] if isinstance(seed, list) else seed  # [seed, i, j] keys a shift pair
-    if user_seed is not None and user_seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {user_seed}")
+    if seed is not None and seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
+
+
+def _check_mode(mode: str, trials: int, seed) -> None:
+    """A verifier runs exhaustive or sampled; sampled runs need trials and seed."""
+    if mode not in ("exhaustive", "sampled"):
+        raise ParameterError(f"unknown mode {mode!r}")
+    if mode == "sampled":
+        _check_trials(trials, seed)
 
 
 def _sampled_rects(grid: np.ndarray, K: int, S: int, trials: int, seed):
     """Yield (B1, B2, counts) for ``trials`` random S x S rectangles: B1 then
     B2 drawn as sorted S-subsets of range(N), counts (K,) the cells of each
     label in B1 x B2."""
-    _check_trials(trials, seed)
     N = grid.shape[0]
     rng = np.random.default_rng(seed)
     for _ in range(trials):
@@ -293,21 +298,60 @@ def _sampled_rects(grid: np.ndarray, K: int, S: int, trials: int, seed):
         yield B1, B2, np.bincount(grid[np.ix_(B1, B2)].ravel(), minlength=K)
 
 
-def _first_sampled_violation(grid, K, S, most, trials, seed):
-    """First (B1, B2, label, count) with count > most among the sampled
-    rectangles, lowest label first, else None."""
-    for B1, B2, counts in _sampled_rects(grid, K, S, trials, seed):
-        hits = np.flatnonzero(counts > most)
-        if hits.size:
-            return B1, B2, int(hits[0]), int(counts[hits[0]])
-    return None
-
-
-def _paired(cells: np.ndarray, M: int, i: int, j: int) -> np.ndarray:
-    """Pair labels T(x+i, y) * M + T(x+j, y) of (..., N, N) cells."""
+def _labels(cells: np.ndarray, M: int, pair) -> np.ndarray:
+    """The label grid a check scans from (..., N, N) cells: the colors
+    themselves (pair None), or T(x+i, y) * M + T(x+j, y) for pair (i, j)."""
+    if pair is None:
+        return cells
     rows = np.arange(cells.shape[-2])
     shifted = lambda k: cells[..., (rows + k) % len(rows), :].astype(np.int64)
-    return shifted(i) * M + shifted(j)
+    return shifted(pair[0]) * M + shifted(pair[1])
+
+
+def _checks(M: int, spec: BalanceSpec, only: Optional[str] = None):
+    """Yield (condition, K, pair, most) per check in verification order: K
+    labels, pair None for single-color, and most the largest count allowed
+    (count * K <= 2S^2, exact integers).  ``only`` keeps one condition."""
+    S = spec.S
+    pairs = itertools.permutations(range(1, spec.shift_bound + 1), 2)
+    # M <= 2 needs no single-color scan: count <= S^2 <= 2S^2/M
+    checks = itertools.chain(
+        [] if M <= 2 else [("single-color", M, None)],
+        (("shifted-pair", M * M, p) for p in pairs),
+    )
+    for condition, K, pair in checks:
+        if only in (None, condition):
+            yield condition, K, pair, 2 * S * S // K
+
+
+def _verify(table, spec, condition, mode, trials, seed, budget) -> VerifyResult:
+    """The balance-check driver behind both verifiers: gate the inputs,
+    then run ``condition``'s checks in order to the first violation."""
+    S, N, M = spec.S, table.N, table.M
+    spec.check_fits(N)
+    _check_mode(mode, trials, seed)
+    if mode == "exhaustive":
+        _check_budget(N, S, budget, f"{condition} verification")
+    for _, K, pair, most in _checks(M, spec, condition):
+        grid = _labels(table.cells, M, pair)
+        hit = None
+        if mode == "exhaustive":
+            first = _first_violation(grid[None], K, S, most)[0]
+            if first is not None:
+                B1, label, count = first
+                hit = B1, _top_columns(grid, B1, label, S), label, count
+        else:  # the lowest label over ``most`` in the first such rectangle
+            key = seed if pair is None or seed is None else [seed, *pair]
+            for B1, B2, counts in _sampled_rects(grid, K, S, trials, key):
+                over = np.flatnonzero(counts > most)
+                if over.size:
+                    hit = B1, B2, int(over[0]), int(counts[over[0]])
+                    break
+        if hit is not None:
+            B1, B2, label, count = hit
+            colors = (label,) if pair is None else (label // M, label % M, *pair)
+            return VerifyResult(False, (B1, B2, *colors), count)
+    return VerifyResult(True)
 
 
 def verify_color_bound(
@@ -325,20 +369,7 @@ def verify_color_bound(
     so for all larger rectangles); sampled mode only reports that no
     violation was found among ``trials`` random rectangles.
     """
-    S, N, M = spec.S, table.N, table.M
-    spec.check_fits(N)
-    most = 2 * S * S // M  # count * M <= 2 S^2, exact integers
-    if mode == "exhaustive":
-        _check_budget(N, S, budget, "single-color verification")
-        hit = None if M <= 2 else _first_exhaustive(table.cells, M, S, most)
-    elif mode == "sampled":
-        hit = _first_sampled_violation(table.cells, M, S, most, trials, seed)
-    else:
-        raise ParameterError(f"unknown mode {mode!r}")
-    if hit is None:
-        return VerifyResult(True)
-    B1, B2, color, count = hit
-    return VerifyResult(False, (B1, B2, color), count)
+    return _verify(table, spec, "single-color", mode, trials, seed, budget)
 
 
 def verify_shift_pair_bound(
@@ -353,57 +384,23 @@ def verify_shift_pair_bound(
     """Check the shifted-pair bound: count <= (2/M^2) * S^2 per rectangle.
 
     Scans shift pairs (i, j) over [1..shift_bound]^2 with i != j (see the
-    module docstring for why the diagonal carries no pair events).
+    module docstring for why the diagonal carries no pair events); sampled
+    mode keys each pair's rectangles by [seed, i, j].
     """
-    S, N, M = spec.S, table.N, table.M
-    spec.check_fits(N)
-    if mode not in ("exhaustive", "sampled"):
-        raise ParameterError(f"unknown mode {mode!r}")
-    most = 2 * S * S // (M * M)  # count * M^2 <= 2 S^2, exact integers
-    if mode == "exhaustive":
-        _check_budget(N, S, budget, "shifted-pair verification")
-    for i, j in itertools.permutations(range(1, spec.shift_bound + 1), 2):
-        paired = _paired(table.cells, M, i, j)
-        if mode == "exhaustive":
-            hit = _first_exhaustive(paired, M * M, S, most)
-        else:
-            hit = _first_sampled_violation(
-                paired, M * M, S, most, trials,
-                None if seed is None else [seed, i, j],
-            )
-        if hit is not None:
-            B1, B2, pair_color, count = hit
-            a, b = pair_color // M, pair_color % M
-            return VerifyResult(False, (B1, B2, a, b, i, j), count)
-    return VerifyResult(True)
-
-
-def verify_table(table, spec, mode="exhaustive", **kw) -> tuple[VerifyResult, VerifyResult]:
-    """Both balance checks; the table passes iff both results are ok."""
-    return (
-        verify_color_bound(table, spec, mode, **kw),
-        verify_shift_pair_bound(table, spec, mode, **kw),
-    )
+    return _verify(table, spec, "shifted-pair", mode, trials, seed, budget)
 
 
 def _first_misses(cells: np.ndarray, M: int, spec: BalanceSpec) -> list:
     """Each stacked table's (count/bound ratio, condition) at its first
-    violation in the exhaustive verifiers' order (the single-color scan,
-    then each shift pair in permutation order), else None: it passes."""
+    violation in the verifiers' check order, else None: it passes."""
     S = spec.S
     misses = [None] * len(cells)
     live = list(range(len(cells)))
-    pairs = itertools.permutations(range(1, spec.shift_bound + 1), 2)
-    # M <= 2 needs no single-color scan: count <= S^2 <= 2S^2/M
-    scans = itertools.chain([] if M <= 2 else [None], pairs)
-    for pair in scans:
+    for condition, K, pair, most in _checks(M, spec):
         if not live:
             break
-        if pair is None:
-            condition, grids, K = "single-color", cells[live], M
-        else:
-            condition, grids, K = "shifted-pair", _paired(cells[live], M, *pair), M * M
-        for t, hit in zip(live, _first_violation(grids, K, S, 2 * S * S // K)):
+        grids = _labels(cells[live], M, pair)
+        for t, hit in zip(live, _first_violation(grids, K, S, most)):
             if hit is not None:
                 misses[t] = hit[2] * K / (2 * S * S), condition
         live = [t for t in live if misses[t] is None]

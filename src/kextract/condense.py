@@ -30,7 +30,7 @@ import numpy as np
 
 from . import stats
 from .btable import Table, _ceil_log2, _check_budget, _check_dims
-from .btable import _check_trials, _sampled_rects, _scan_blocks, _top_columns
+from .btable import _check_mode, _sampled_rects, _scan_blocks, _top_columns
 from .errors import ParameterError
 from .gf2n import field_params, mul_bits
 
@@ -134,10 +134,7 @@ def verify_balance(
         if not 0 <= a < M:
             raise ParameterError(f"color {a} not in 0..{M - 1}")
     R = math.ceil(2.0 ** (delta * table.n))  # <= N, since delta <= 1
-    if mode not in ("exhaustive", "sampled"):
-        raise ParameterError(f"unknown mode {mode!r}")
-    if mode == "sampled":  # checked here too, as an infinite bound samples nothing
-        _check_trials(trials, seed)
+    _check_mode(mode, trials, seed)  # before an infinite bound returns early
     bound = color_bound_fraction(len(A), M, delta, epsilon, c) * R * R
     if bound == math.inf:  # no count reaches it: nothing to scan
         return BalanceReport(True, 0.0)

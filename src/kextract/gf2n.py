@@ -15,9 +15,7 @@ degree n, which for this encoding is the numerically smallest one, e.g.
     n=8 : x^8 + x^4 + x^3 + x + 1 -> 0b100011011 = 0x11b
     n=64: x^64 + x^4 + x^3 + x + 1             = 0x1000000000000001b
 
-Custom moduli are accepted for n <= 32 and are checked irreducible by
-trial division against every polynomial of degree 1..n/2; for n > 32
-only the built-in table entry is accepted.
+Only that table entry is accepted as the modulus for degree n.
 
 Elements are plain ints: addition is ``^``, ``mul_bits`` multiplies by
 shift-and-XOR with interleaved reduction, ``multiples`` tabulates k*x
@@ -30,7 +28,7 @@ unrestricted concurrent use.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, ParameterError
 
@@ -69,42 +67,27 @@ def _poly_mod(a: int, b: int) -> int:
     return a
 
 
-def _trial_division_irreducible(candidate: int) -> bool:
-    """True iff candidate has no divisor of degree 1..deg/2."""
-    n = candidate.bit_length() - 1
-    for d in range(2, 1 << (n // 2 + 1)):
-        if d.bit_length() >= 2 and _poly_mod(candidate, d) == 0:
-            return False
-    return True
-
-
-@functools.lru_cache(maxsize=None)
-def _check_modulus(n: int, modulus: int) -> None:
-    if not 1 <= n <= MAX_N:
-        raise ParameterError(f"field degree n={n} outside supported range 1..{MAX_N}")
-    if modulus.bit_length() != n + 1:
-        raise ParameterError(
-            f"modulus {modulus:#x} does not have degree exactly {n}"
-        )
-    if n <= 32:
-        if not _trial_division_irreducible(modulus):
-            raise ParameterError(f"modulus {modulus:#x} is reducible")
-    elif modulus != _LEAST_IRREDUCIBLE[n]:
-        raise ParameterError(
-            f"modulus {modulus:#x} for n={n} is not in the vetted table; "
-            f"expected {_LEAST_IRREDUCIBLE[n]:#x}"
-        )
-
-
-@dataclass(frozen=True)
-class FieldParams:
-    """A field GF(2^n): bit length n and irreducible modulus."""
-
+class _Field(NamedTuple):
     n: int
     modulus: int
 
-    def __post_init__(self):
-        _check_modulus(self.n, self.modulus)
+
+class FieldParams(_Field):
+    """A field GF(2^n): bit length n and its vetted irreducible modulus."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, modulus: int):
+        if not 1 <= n <= MAX_N:
+            raise ParameterError(f"field degree n={n} outside supported range 1..{MAX_N}")
+        if modulus.bit_length() != n + 1:
+            raise ParameterError(f"modulus {modulus:#x} does not have degree exactly {n}")
+        if modulus != _LEAST_IRREDUCIBLE[n]:
+            raise ParameterError(
+                f"modulus {modulus:#x} for n={n} is not in the vetted table; "
+                f"expected {_LEAST_IRREDUCIBLE[n]:#x}"
+            )
+        return tuple.__new__(cls, (n, modulus))
 
     @property
     def order(self) -> int:

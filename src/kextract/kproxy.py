@@ -28,14 +28,12 @@ from __future__ import annotations
 import bz2
 import lzma
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import BackendError, DecodeError, ParameterError
 
 
-@dataclass(frozen=True)
-class Compressor:
+class Compressor(NamedTuple):
     """A deterministic compression backend."""
 
     name: str
@@ -67,8 +65,7 @@ def k_estimate(data: bytes, comp: Compressor) -> int:
         raise BackendError(f"compression failed: {exc}", comp.name) from exc
 
 
-@dataclass(frozen=True)
-class DepEstimate:
+class DepEstimate(NamedTuple):
     """Dependency estimates in bits, raw and clamped to >= 0.
 
     verdict is True iff both directional drops are within alpha, i.e.
@@ -122,8 +119,7 @@ def dependency(x: bytes, y: bytes, comp: Compressor, alpha: float) -> DepEstimat
     )
 
 
-@dataclass(frozen=True)
-class SymmetryDiagnostic:
+class SymmetryDiagnostic(NamedTuple):
     """Both directional drops and how far apart they are, in bits."""
 
     lhs_drop: int

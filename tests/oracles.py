@@ -484,7 +484,7 @@ def per_trial_search(
 ):
     from kextract.btable import (
         DEFAULT_TABLE_BUDGET, SearchFailure, Table, verify_color_bound,
-        verify_shift_pair_bound, verify_table,
+        verify_shift_pair_bound,
     )
 
     def miss_ratio(result, M):
@@ -517,7 +517,8 @@ def per_trial_search(
     for flat in itertools.product(range(M), repeat=N * N):
         tried += 1
         table = Table(n, m, np.array(flat, dtype=np.uint32), "searched(exhaustive)")
-        r1, r2 = verify_table(table, spec, budget=pair_budget)
+        r1 = verify_color_bound(table, spec, budget=pair_budget)
+        r2 = verify_shift_pair_bound(table, spec, budget=pair_budget)
         if r1.ok and r2.ok:
             return table
     return SearchFailure(tried, math.inf, -1, "none")

@@ -27,12 +27,31 @@ from kextract.btable import (
     search_table,
     verify_color_bound,
     verify_shift_pair_bound,
-    verify_table,
     write_table,
 )
 from kextract.errors import DecodeError, ParameterError, ResourceError
 
 SPEC34 = BalanceSpec(S=4, shift_bound=2)
+
+
+def verify_both(table, spec):
+    return verify_color_bound(table, spec), verify_shift_pair_bound(table, spec)
+
+
+def first_exhaustive(grid, K, S, most):
+    """One grid's first (B1, B2, label, count) with count > most, else None."""
+    hit = btable._first_violation(grid[None], K, S, most)[0]
+    return hit and (hit[0], btable._top_columns(grid, hit[0], hit[1], S), *hit[1:])
+
+
+def first_sampled(grid, K, S, most, trials, seed):
+    """The first sampled (B1, B2, label, count) with count > most, lowest
+    label first, else None."""
+    for B1, B2, counts in btable._sampled_rects(grid, K, S, trials, seed):
+        over = np.flatnonzero(counts > most)
+        if over.size:
+            return B1, B2, int(over[0]), int(counts[over[0]])
+    return None
 
 
 def random_table(n, m, seed):
@@ -108,7 +127,7 @@ class TestVerify:
     def test_searched_table_passes_fresh_verifier(self):
         result = search_table(3, 1, SPEC34, "random", trials=2000, seed=2026)
         assert isinstance(result, Table)
-        r1, r2 = verify_table(result, SPEC34)
+        r1, r2 = verify_both(result, SPEC34)
         assert r1.ok and r2.ok
 
     def test_unknown_mode_rejected(self):
@@ -231,7 +250,7 @@ class TestScanKernel:
         # violation deep in the scan; at the largest count the scan passes
         peak = max(int(t.max()) for _, t in btable._scan_blocks(grid[None], K, S))
         most = peak - data.draw(st.integers(0, 3), label="below_peak")
-        got = btable._first_exhaustive(grid, K, S, most)
+        got = first_exhaustive(grid, K, S, most)
         want = oracles.lex_exhaustive_scan(grid, K, S, lambda c: c > most)
         assert got == want
 
@@ -240,7 +259,7 @@ class TestScanKernel:
         # only the last S rows hold an all-one-label S x S rectangle
         grid = np.random.default_rng(K).integers(0, K, size=(16, 16))
         grid[16 - S:, 3:3 + S] = K - 1
-        got = btable._first_exhaustive(grid, K, S, S * S - 1)
+        got = first_exhaustive(grid, K, S, S * S - 1)
         assert got == oracles.lex_exhaustive_scan(
             grid, K, S, lambda c: c > S * S - 1
         )
@@ -322,7 +341,7 @@ class TestScanKernel:
         rects = btable._sampled_rects(grid, K, S, 40, seed)
         peak = max(int(counts.max()) for *_, counts in rects)
         most = peak - data.draw(st.integers(0, 3), label="below_peak")
-        got = btable._first_sampled_violation(grid, K, S, most, 40, seed)
+        got = first_sampled(grid, K, S, most, 40, seed)
         assert got == oracles.sampled_scan(grid, K, S, most, 40, seed)
 
     @settings(max_examples=20)
@@ -358,6 +377,28 @@ class TestScanKernel:
         for check in (verify_color_bound, verify_shift_pair_bound):
             with pytest.raises(ParameterError):
                 check(t, SPEC34, "sampled", trials=trials, seed=seed)
+
+    def test_sampled_gate_runs_before_any_check(self):
+        # shift_bound 1 leaves no shift pair and M = 2 no single-color
+        # check, so nothing is sampled, yet trials and seed are still refused
+        t = random_table(2, 1, 0)
+        for check in (verify_color_bound, verify_shift_pair_bound):
+            for trials, seed in ((0, 1), (5, -3)):
+                with pytest.raises(ParameterError):
+                    check(t, BalanceSpec(2, 1), "sampled", trials=trials, seed=seed)
+            assert check(t, BalanceSpec(2, 1), "sampled", trials=1, seed=0).ok
+
+    def test_checks_in_verification_order(self):
+        spec = BalanceSpec(S=3, shift_bound=3)
+        pairs = [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)]
+        color = ("single-color", 4, None, 4)
+        assert list(btable._checks(4, spec)) == [color] + [
+            ("shifted-pair", 16, p, 1) for p in pairs
+        ]
+        assert list(btable._checks(2, spec)) == [("shifted-pair", 4, p, 4) for p in pairs]
+        assert list(btable._checks(4, spec, "single-color")) == [color]
+        assert list(btable._checks(2, spec, "single-color")) == []
+        assert list(btable._checks(8, BalanceSpec(3, 1), "shifted-pair")) == []
 
     def test_memory_bounded_for_many_labels(self):
         # n=6, m=8: M^2 = 65536 pair labels; one (N, N, M^2) one-hot array
@@ -507,7 +548,7 @@ class TestSearch:
             if list(candidate) >= flat:
                 break
             t = Table(1, 1, np.array(candidate, dtype=np.uint32))
-            r1, r2 = verify_table(t, spec)
+            r1, r2 = verify_both(t, spec)
             assert not (r1.ok and r2.ok)
 
     def test_exhaustive_search_budget(self):

@@ -790,12 +790,12 @@ def _fresh_interpreter(code: str) -> str:
     return proc.stdout.splitlines()[-1]
 
 
-_UNLOADED = "print('numpy' in sys.modules, 'mpmath' in sys.modules)"
+_UNLOADED = "print(*(m in sys.modules for m in ('numpy', 'mpmath', 'dataclasses')))"
 
 
 def test_cli_import_leaves_numpy_and_mpmath_unloaded():
-    assert _fresh_interpreter(f"import sys, kextract\n{_UNLOADED}") == "False False"
-    assert _fresh_interpreter(f"import sys, kextract.cli\n{_UNLOADED}") == "False False"
+    assert _fresh_interpreter(f"import sys, kextract\n{_UNLOADED}") == "False False False"
+    assert _fresh_interpreter(f"import sys, kextract.cli\n{_UNLOADED}") == "False False False"
 
 
 @pytest.mark.parametrize(
@@ -823,7 +823,7 @@ def test_string_commands_leave_numpy_unloaded(tmp_path, argv):
         "    pass\n"
         f"{_UNLOADED}"
     )
-    assert _fresh_interpreter(code) == "False False"
+    assert _fresh_interpreter(code) == "False False False"
 
 
 # -- argv fuzzing ------------------------------------------------------------

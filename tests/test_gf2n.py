@@ -193,11 +193,11 @@ class TestParams:
             with pytest.raises(ParameterError):
                 field_params(n)
 
-    def test_custom_irreducible_accepted_small_n(self):
-        # x^3 + x^2 + 1, the other irreducible cubic
-        params = FieldParams(3, 0b1101)
-        for a in range(1, 8):
-            assert mul_bits(a, inverse_bits(a, params), params) == 1
+    def test_unvetted_irreducible_rejected_small_n(self):
+        # x^3 + x^2 + 1 is irreducible but not the table entry, which is
+        # all that is accepted at every n
+        with pytest.raises(ParameterError, match="not in the vetted table"):
+            FieldParams(3, 0b1101)
 
     def test_unvetted_modulus_rejected_large_n(self):
         # x^33 + x^10 + 1 may or may not be irreducible; it is not the

@@ -47,3 +47,14 @@ def test_submodules_load_on_first_use():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert proc.stdout == "['kextract.errors'] True True\n"
+
+
+def test_benchmark_wrapped_names_resolve(monkeypatch):
+    # the traced benchmark run looks these up with getattr; a deleted or
+    # renamed function would otherwise fail only there
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+    import layers
+
+    for module, names in layers._WRAPPED.items():
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
