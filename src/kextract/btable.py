@@ -26,8 +26,15 @@ One driver, ``_verify``, runs both verifiers: it gates its inputs once
 or the pair budget when exhaustive) and returns the first violation of
 the checks ``_checks`` lists in verification order: the single-color
 grid (skipped for M <= 2, where count <= S^2 <= 2S^2/M), then each shift
-pair i != j in ``itertools.permutations`` order.  ``search_table`` walks
-the same list over stacks of candidate tables.
+pair i != j in ``itertools.permutations`` order.  Before it scans or
+samples a check, ``_verify`` tries a certificate: ``_marginal_bound``
+bounds every label's count in every S x S rectangle from the label's
+counts per row and per column alone, and a check whose bound is at
+most its allowed count passes with no scan.  The answer is the OK the
+scan would give, so no output changes.  ``search_table`` walks the same
+list over stacks of candidate tables without the certificate: on random
+tables at n=3, m=1, S=4 and at n=4, m=1, S=6 it closes none of 400
+checks, so there it would only add cost.
 
 Exhaustive verification walks every size-S row subset and, per label,
 bounds the worst column subset by the sum of the S largest per-column
@@ -38,12 +45,17 @@ to SCAN_BLOCK_ENTRIES counts; ``_first_violation`` drops each grid from
 the stack at its first violation.  The verifiers and ``condense`` scan
 one grid (T = 1).  ``search_table`` scans chunks of candidate tables
 that double from one up to SCAN_BLOCK_ENTRIES cells (and one row
-subset's pair counts), so a chunk shares the cost of each block.  On a
-2-core Xeon this took the benchmark's search workload (searches at
-n=3-4, m=1-2, S=4-6) from ~22 to ~123 searches/s, against one table
-at a time.  What is left is mostly drawing each random trial from its
-own generator keyed by (seed, t), ~45 us a trial, the price of
-reproducible trials.
+subset's pair counts), so a chunk shares the cost of each block.
+
+What is left, on a 2-core Xeon: in a search at n=3, m=2, drawing each
+trial from its own generator keyed by (seed, t), the price of
+reproducible trials, is about a third of the time, and a block's S
+fancy-index adds and its ``np.partition`` about a quarter and a sixth.
+In verification, the certificate closes 76 of the 132 checks in the
+benchmark's n=4, S=10-12 proofs (seed 2026).  What still scans is the
+checks it misses (m=1 at S=10, and m=2 below S=12) and ``condense``
+runs whose color set A covers less than half the colors, where the
+ceiling of ``condense.verify_balance`` is rarely met.
 Sampled verification draws its rectangles from ``_sampled_rects``, keyed
 by the seed for the single-color check and by [seed, i, j] for pair (i, j).
 """
@@ -270,6 +282,54 @@ def _first_violation(grids, K, S, most) -> list:
     return found
 
 
+def _line_bounds(lines: np.ndarray, S: int) -> np.ndarray:
+    """Per label of an N x N grid, in increasing label order: the sum of
+    its S largest min(S, c) over the rows, c its count in a row.  Each
+    ``del`` frees a grid-sized array before the next is made, so the peak
+    stays near four copies of the grid."""
+    labels = np.array(lines, order="C")
+    labels.sort(axis=1)
+    labels = labels.ravel()
+    new = np.empty(labels.size, dtype=bool)
+    new[0] = True
+    np.not_equal(labels[1:], labels[:-1], out=new[1:])
+    new[::lines.shape[1]] = True  # every row starts a run
+    starts = np.flatnonzero(new)
+    del new
+    counts = np.diff(starts, append=labels.size)
+    np.minimum(counts, S, out=counts)
+    labels = labels[starts]
+    del starts
+    order = np.lexsort((counts, labels))  # by label, then by count
+    labels = labels[order]
+    counts = counts[order]
+    del order
+    ends = np.flatnonzero(np.append(labels[1:] != labels[:-1], True)) + 1
+    del labels
+    tops = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=tops[1:])
+    del counts
+    starts = np.append(0, ends[:-1])  # a label's runs, of which the last S count
+    np.maximum(starts, ends - S, out=starts)
+    sums = tops[ends]
+    del ends
+    sums -= tops[starts]
+    return sums
+
+
+def _marginal_bound(grid: np.ndarray, S: int) -> int:
+    """The largest count any one label can reach in an S x S rectangle of
+    an N x N label grid.  A rectangle holds at most min(S, c) of a label
+    from a row where it occurs c times, so per label the count is at most
+    the sum of its S largest min(S, c) over rows, and likewise over
+    columns; the result is the largest, over labels, of the smaller sum.
+    Labels are counted as runs of sorted rows, so memory is O(N^2)
+    whatever the label range."""
+    rows = _line_bounds(grid, S)
+    np.minimum(rows, _line_bounds(grid.T, S), out=rows)  # the same labels, in order
+    return int(rows.max())
+
+
 def _check_trials(trials: int, seed) -> None:
     """Random trials need a positive count and a nonnegative seed."""
     if trials < 1:
@@ -334,6 +394,8 @@ def _verify(table, spec, condition, mode, trials, seed, budget) -> VerifyResult:
         _check_budget(N, S, budget, f"{condition} verification")
     for _, K, pair, most in _checks(M, spec, condition):
         grid = _labels(table.cells, M, pair)
+        if _marginal_bound(grid, S) <= most:  # no rectangle can exceed most
+            continue
         hit = None
         if mode == "exhaustive":
             first = _first_violation(grid[None], K, S, most)[0]

@@ -57,10 +57,10 @@ def _hex_width(bits: int) -> int:
 
 
 def _int_list(text: str, what: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part != ""]
-    except ValueError:
-        raise ParameterError(f"{what}: {text!r} is not a comma-separated int list") from None
+    """Decimal integers separated by single commas, none of them empty."""
+    if not re.fullmatch("[0-9]+(,[0-9]+)*", text):
+        raise ParameterError(f"{what}: {text!r} is not a comma-separated int list")
+    return [int(part) for part in text.split(",")]
 
 
 def _budget(args, default: int | None = None) -> int | None:

@@ -28,7 +28,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from . import stats
+from . import btable, stats
 from .btable import Table, _ceil_log2, _check_budget, _check_dims
 from .btable import _check_mode, _sampled_rects, _scan_blocks, _top_columns
 from .errors import ParameterError
@@ -121,6 +121,13 @@ def verify_balance(
     and the witness come from the first row subset, lexicographically,
     that reaches the largest count; sampled mode the rectangle sampler,
     where they come from the first sampled rectangle that reaches it.
+
+    Both modes stop as soon as the running maximum reaches the ceiling
+    ``btable._marginal_bound`` gives for the indicator grid, which no
+    rectangle's count can pass.  A later rectangle could at most tie,
+    and ties keep the earlier witness, so the stop changes neither
+    worst_ratio nor the witness; it ends at once, for instance, a scan
+    of a table whose cells all lie in A.
     """
     if not 0 < delta <= 1:  # NaN fails each of these tests
         raise ParameterError(f"delta={delta} must be in (0, 1]")
@@ -138,20 +145,26 @@ def verify_balance(
     bound = color_bound_fraction(len(A), M, delta, epsilon, c) * R * R
     if bound == math.inf:  # no count reaches it: nothing to scan
         return BalanceReport(True, 0.0)
+    if mode == "exhaustive":
+        _check_budget(N, R, budget, "colored-balance verification")
     indicator = np.isin(table.cells, np.array(A, dtype=np.uint32)).astype(np.int64)
+    ceiling = btable._marginal_bound(indicator, R)  # no rectangle holds more of A
 
     best_count, best = 0, None
     if mode == "exhaustive":
-        _check_budget(N, R, budget, "colored-balance verification")
         for subsets, tops in _scan_blocks(indicator[None], 2, R):  # label 1 marks A
             b = int(np.argmax(tops[0, :, 1]))
             if tops[0, b, 1] > best_count:
                 best_count, B1 = int(tops[0, b, 1]), tuple(subsets[b].tolist())
                 best = B1, _top_columns(indicator, B1, 1, R)
+                if best_count >= ceiling:
+                    break
     else:
         for B1, B2, counts in _sampled_rects(indicator, 2, R, trials, seed):
             if counts[1] > best_count:
                 best_count, best = int(counts[1]), (B1, B2)
+                if best_count >= ceiling:
+                    break
     witness = best if best_count > bound else None
     return BalanceReport(witness is None, best_count / bound, witness)
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from mpmath import mpf
 
 import oracles
-from kextract import btable
+from kextract import btable, condense
 from kextract.btable import (
     BalanceSpec,
     SearchFailure,
@@ -29,6 +29,7 @@ from kextract.btable import (
     verify_shift_pair_bound,
     write_table,
 )
+from kextract.cli import main
 from kextract.errors import DecodeError, ParameterError, ResourceError
 
 SPEC34 = BalanceSpec(S=4, shift_bound=2)
@@ -417,6 +418,117 @@ class TestScanKernel:
         count = oracles.shift_pair_count(t.cells.tolist(), B1, B2, a, b, i, j)
         assert count == r.count
         assert count * t.M**2 > 2 * spec.S**2
+
+
+class TestMarginalBound:
+    """The row and column count certificate in front of the scans."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        K=st.integers(2, 16),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_bound_is_at_least_every_rectangle_count(self, n, K, seed, data):
+        N = 1 << n
+        S = data.draw(st.integers(1, N), label="S")
+        used = data.draw(st.integers(1, K), label="used")  # 1 label: the bound is S^2
+        grid = np.random.default_rng(seed).integers(0, used, size=(N, N))
+        bound = btable._marginal_bound(grid, S)
+        assert oracles.lex_exhaustive_scan(grid, K, S, lambda c: c > bound) is None
+        assert bound <= S * S
+
+    @staticmethod
+    def _on_and_off(t, spec, colors, mode):
+        """Every verifier's result with the certificate, then without it:
+        a bound above any count leaves the scan-only path."""
+        kw = dict(trials=30, seed=5) if mode == "sampled" else {}
+
+        def results():
+            return (
+                verify_color_bound(t, spec, mode, **kw),
+                verify_shift_pair_bound(t, spec, mode, **kw),
+                condense.verify_balance(t, 0.34, 0.1, 1, colors, mode, **kw),
+                condense.verify_balance(t, 0.75, 0.25, 1, colors, mode, **kw),
+            )
+
+        on = results()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(btable, "_marginal_bound", lambda grid, S: S * S + 1)
+            return on, results()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        m=st.integers(1, 3),
+        kind=st.sampled_from(["random", "constant", "rows"]),
+        seed=st.integers(0, 2**32 - 1),
+        mode=st.sampled_from(["exhaustive", "sampled"]),
+        data=st.data(),
+    )
+    def test_same_results_with_the_certificate_off(self, n, m, kind, seed, mode, data):
+        N, M = 1 << n, 1 << m
+        rng = np.random.default_rng(seed)
+        used = data.draw(st.integers(1, M), label="used")
+        if kind == "random":
+            cells = rng.integers(0, used, size=(N, N))
+        elif kind == "constant":
+            cells = np.full((N, N), used - 1)
+        else:  # constant rows: pair labels repeat along each row
+            cells = np.repeat(rng.integers(0, used, size=(N, 1)), N, axis=1)
+        t = Table(n, m, cells.astype(np.uint32))
+        # at most C(16, 4) = 1820 row subsets a scan
+        S = data.draw(st.integers(1, N).filter(lambda S: math.comb(N, S) <= 1820), label="S")
+        spec = BalanceSpec(S, data.draw(st.integers(1, min(N, 3)), label="r"))
+        # all of A, at least half of the colors, or any nonempty subset
+        size = data.draw(st.sampled_from([M, max(1, M // 2), 1]), label="|A|")
+        colors = sorted(rng.choice(M, size=size, replace=False).tolist())
+        on, off = self._on_and_off(t, spec, colors, mode)
+        assert on == off
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_condense_ceiling_keeps_ratio_and_witness(self, m):
+        # n=4, |A| = M/2: the running maximum climbs over several row
+        # subsets before it meets the ceiling, or never meets it
+        M = 1 << m
+        for seed in range(8):
+            t = random_table(4, m, seed)
+            for mode in ("exhaustive", "sampled"):
+                on, off = self._on_and_off(t, BalanceSpec(1, 1), list(range(M // 2)), mode)
+                assert on == off
+
+    def test_closed_checks_never_scan(self, monkeypatch, tmp_path, capsys):
+        # n=4, m=1, S=12, r=2: each shift pair's bound is 63 <= most = 72
+        t = random_table(4, 1, 0)
+        spec = BalanceSpec(12, 2)
+        for pair in ((1, 2), (2, 1)):
+            assert btable._marginal_bound(btable._labels(t.cells, 2, pair), 12) <= 72
+
+        def no_scan(*args):
+            raise AssertionError("scanned a check the bound closes")
+
+        monkeypatch.setattr(btable, "_first_violation", no_scan)
+        assert verify_shift_pair_bound(t, spec) == VerifyResult(True)
+        write_table(t, tmp_path / "t.ktb")
+        code = main(["table", "verify", "--table", str(tmp_path / "t.ktb"),
+                     "--S", "12", "--shift-bound", "2"])
+        assert (code, capsys.readouterr().out) == (0, "OK\n")
+
+    def test_memory_independent_of_label_count(self):
+        # n=6, m=8: K = 2^16 pair labels; a dense (N, K) count array would
+        # take 32 MiB, against the 32 KiB label grid
+        peaks = {}
+        for m in (1, 8):
+            grid = btable._labels(random_table(6, m, 11).cells, 1 << m, (1, 2))
+            tracemalloc.start()
+            try:
+                btable._marginal_bound(grid, 10)
+                peaks[m] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[8] <= 6 * grid.nbytes
+        assert peaks[1] <= 6 * grid.nbytes
 
 
 def assert_same_search(got, want):

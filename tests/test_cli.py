@@ -366,6 +366,19 @@ class TestCondenseCommands:
         code, out, err = run(capsys, *common, "--seed", "-1")
         assert code == 2 and "OK" not in out and "seed must be >= 0" in err
 
+    @pytest.mark.parametrize("value", [",", "", "1,,2", "1_0", "+1", " 1"])
+    @pytest.mark.parametrize(
+        "command,flag", [("verify", "--colors"), ("deficit", "--rows"), ("deficit", "--cols")]
+    )
+    def test_int_lists_are_strict(self, capsys, standin_path, command, flag, value):
+        # empty parts were dropped and int() took "1_0", "+1" and " 1", so
+        # "--colors ," answered OK for an empty color set
+        path, _ = standin_path
+        given = ["--delta", "0.5", "--epsilon", "0.25", "--c", "1"] if command == "verify" else []
+        code, out, err = run(capsys, "condense", command, "--table", path, *given, flag, value)
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag}: {value!r} is not a comma-separated int list\n"
+
     def test_deficit_constant_table_prints_m(self, capsys, tmp_path):
         t = btable.Table.constant(3, 2, 3)
         path = tmp_path / "c.ktb"
