@@ -44,18 +44,23 @@ T grids at once, in blocks of lexicographic row subsets that double up
 to SCAN_BLOCK_ENTRIES counts; ``_first_violation`` drops each grid from
 the stack at its first violation.  The verifiers and ``condense`` scan
 one grid (T = 1).  ``search_table`` scans chunks of candidate tables
-that double from one up to SCAN_BLOCK_ENTRIES cells (and one row
+that double from one table up to SCAN_BLOCK_ENTRIES cells (and one row
 subset's pair counts), so a chunk shares the cost of each block.
+``_random_cells`` draws a chunk in one pass and gives the tables of
+per-trial generators keyed by (seed, t): numpy builds each trial's
+SeedSequence pool, the pools' output hash runs on the whole chunk at
+once, and one reused PCG64 takes each trial's state in turn.
 
-What is left, on a 2-core Xeon: in a search at n=3, m=2, drawing each
-trial from its own generator keyed by (seed, t), the price of
-reproducible trials, is about a third of the time, and a block's S
-fancy-index adds and its ``np.partition`` about a quarter and a sixth.
-In verification, the certificate closes 76 of the 132 checks in the
-benchmark's n=4, S=10-12 proofs (seed 2026).  What still scans is the
-checks it misses (m=1 at S=10, and m=2 below S=12) and ``condense``
-runs whose color set A covers less than half the colors, where the
-ceiling of ``condense.verify_balance`` is rarely met.
+What is left, on a 2-core Xeon: in a search at n=3, m=2, the draw is
+about a quarter of the time (12 of 50 us a trial, where a generator per
+trial took 23 us), most of it numpy's SeedSequence constructor and the
+PCG64 state setter, once a trial; the scan's S fancy-index adds and
+its ``np.partition`` take most of the rest.  In verification, the
+certificate closes 76 of the 132 checks in the benchmark's n=4,
+S=10-12 proofs (seed 2026).  What still scans is the checks it misses
+(m=1 at S=10, and m=2 below S=12) and ``condense`` runs whose color set
+A covers less than half the colors, where the ceiling of
+``condense.verify_balance`` is rarely met.
 Sampled verification draws its rectangles from ``_sampled_rects``, keyed
 by the seed for the single-color check and by [seed, i, j] for pair (i, j).
 """
@@ -86,6 +91,12 @@ DENSE_LIMIT_N = 12
 SCAN_BLOCK_ENTRIES = 1 << 16
 IO_BLOCK_CELLS = 1 << 16
 MAX_M = 31
+
+# numpy's SeedSequence output-hash constants and PCG64's 128-bit LCG
+# multiplier, which NEP 19 keeps stable across numpy versions.
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 
 TABLE_MAGIC = b"KXTB"
 TABLE_VERSION = 1
@@ -469,6 +480,41 @@ def _first_misses(cells: np.ndarray, M: int, spec: BalanceSpec) -> list:
     return misses
 
 
+def _random_cells(seed: int, start: int, stop: int, N: int, m: int) -> np.ndarray:
+    """The (stop - start, N, N) uint32 cells of trials start..stop-1, row
+    t equal to ``np.random.default_rng([seed, t]).integers(0, 2**m,
+    size=(N, N), dtype=np.uint32)``.  Each trial's SeedSequence pool
+    comes from numpy; its ``generate_state(4, np.uint64)`` hashes pool
+    words 0-3 twice over, with constants that run on from word to word,
+    so it runs on the whole chunk at once.  PCG64 seeds itself from
+    those words with inc = 2 * initseq + 1 and two LCG steps from state
+    0, adding initstate between them; one reused generator then gives
+    each trial's N*N/2 raw 64-bit words.  For a power-of-two range,
+    ``integers``' Lemire path keeps the top m bits of each 32-bit half,
+    low half first, and never rejects."""
+    pools = np.array([np.random.SeedSequence([seed, t]).pool for t in range(start, stop)])
+    h = [_INIT_B]
+    for _ in range(8):
+        h.append(h[-1] * _MULT_B & _MASK32)
+    words = np.tile(pools, 2) ^ np.array(h[:-1], np.uint32)
+    words *= np.array(h[1:], np.uint32)
+    words ^= words >> 16
+    cells = np.empty((stop - start, N * N), np.uint32)
+    bits = np.random.PCG64(0)  # every state is overwritten
+    for row, (s0, s1, i0, i1) in zip(cells, words.astype("<u4", copy=False).view("<u8").tolist()):
+        inc = (i0 << 65 | i1 << 1 | 1) & _MASK128
+        state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
+        bits.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        row[:] = bits.random_raw(N * N // 2).astype("<u8", copy=False).view("<u4")
+    cells >>= 32 - m
+    return cells.reshape(-1, N, N)
+
+
 def search_table(
     n: int,
     m: int,
@@ -482,17 +528,20 @@ def search_table(
 ) -> Union[Table, SearchFailure]:
     """Find a table passing exhaustive verification, or report failure.
 
-    random strategy: fill cells i.i.d. uniform per trial; trial t draws
-    from a generator keyed by (seed, t), so runs are reproducible and
-    trials are independent jobs.  exhaustive strategy: enumerate all
-    M^(N^2) cell arrays in lexicographic order and return the least
-    passing one (or prove none exists).
+    random strategy: fill cells i.i.d. uniform per trial; trial t is the
+    table ``np.random.default_rng([seed, t])`` draws, so runs are
+    reproducible and trials are independent jobs.  exhaustive strategy:
+    enumerate all M^(N^2) cell arrays in lexicographic order and return
+    the least passing one (or prove none exists).
 
-    Candidates are verified in chunks that double from one table up to
-    as many as fit in SCAN_BLOCK_ENTRIES cells and SCAN_BLOCK_ENTRIES pair
-    counts of one row subset.  The first passing candidate wins; the
-    nearest miss is the least ratio of a first violation's count to its
-    bound, the earlier trial on ties.
+    Candidates are drawn and verified in chunks that double from one
+    table up to as many as fit in SCAN_BLOCK_ENTRIES cells and
+    SCAN_BLOCK_ENTRIES pair counts of one row subset; every passing
+    table in a chunk costs a full scan, so the first chunk holds one.
+    The random strategy draws a chunk in one call to ``_random_cells``,
+    the same tables as the per-trial generators.  The first passing
+    candidate wins; the nearest miss is the least ratio of a first
+    violation's count to its bound, the earlier trial on ties.
     """
     _check_dims(n, m)
     N, M = 1 << n, 1 << m
@@ -500,10 +549,8 @@ def search_table(
         _check_trials(trials, seed)
         if seed is None:
             seed = secrets.randbits(63)
-        candidates = (
-            np.random.default_rng([seed, t]).integers(0, M, size=(N, N), dtype=np.uint32)
-            for t in range(trials)
-        )
+        total = trials
+        draw = lambda start, stop: _random_cells(seed, start, stop, N, m)
         provenance = lambda t: f"searched(seed={seed},trial={t})"
     elif strategy == "exhaustive":
         total = M ** (N * N)
@@ -512,29 +559,32 @@ def search_table(
             raise ResourceError(
                 f"exhaustive search over {total} tables exceeds budget {limit}"
             )
-        candidates = itertools.product(range(M), repeat=N * N)
+        # table t's cells are t's base-M digits, most significant first,
+        # the order of itertools.product(range(M), repeat=N * N)
+        shifts = m * np.arange(N * N - 1, -1, -1)
+        draw = lambda start, stop: (
+            (np.arange(start, stop)[:, None] >> shifts & M - 1).astype(np.uint32).reshape(-1, N, N)
+        )
         provenance = lambda t: "searched(exhaustive)"
     else:
         raise ParameterError(f"unknown search strategy {strategy!r}")
     spec.check_fits(N)
     _check_budget(N, spec.S, pair_budget, "single-color verification")
-    tried, best = 0, (math.inf, -1, "")
-    size, largest = 1, max(1, SCAN_BLOCK_ENTRIES // (N * max(N, M * M)))
-    while True:
-        chunk = itertools.islice(candidates, size)
-        cells = np.array(list(chunk), dtype=np.uint32).reshape(-1, N, N)
-        if not len(cells):
-            break
+    best = (math.inf, -1, "")
+    largest = max(1, SCAN_BLOCK_ENTRIES // (N * max(N, M * M)))
+    start, size = 0, 1
+    while start < total:
+        stop = min(start + size, total)
+        cells = draw(start, stop)
         for k, miss in enumerate(_first_misses(cells, M, spec)):
             if miss is None:
-                return Table(n, m, cells[k].copy(), provenance(tried + k))
+                return Table(n, m, cells[k].copy(), provenance(start + k))
             if miss[0] < best[0]:
-                best = miss[0], tried + k, miss[1]
-        tried += len(cells)
-        size = min(2 * size, largest)
+                best = miss[0], start + k, miss[1]
+        start, size = stop, min(2 * size, largest)
     if strategy == "exhaustive":
-        return SearchFailure(tried, math.inf, -1, "none")
-    return SearchFailure(tried, *best)
+        return SearchFailure(total, math.inf, -1, "none")
+    return SearchFailure(total, *best)
 
 
 def apply_table(x1: int, x2: int, table: Table, count: int) -> list[int]:

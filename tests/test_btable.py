@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
 
@@ -555,13 +555,14 @@ class TestSearch:
         n=st.integers(2, 4),
         m=st.integers(1, 3),
         r=st.integers(1, 3),
-        seed=st.integers(0, 2**63 - 1),
-        trials=st.integers(1, 70),
+        seed=st.integers(0, 2**128 - 1),
+        trials=st.integers(1, 240),
         data=st.data(),
     )
     def test_random_search_matches_per_trial_loop(self, n, m, r, seed, trials, data):
-        # chunks double from one trial, so 1..70 trials straddle the
-        # chunk boundaries at 1, 3, 7, 15, 31 and 63
+        # chunks double from one trial, so 1..240 trials straddle the
+        # chunk boundaries at 1, 3, 7, 15, 31, 63 and 127; seeds past
+        # 2^64 take three or more entropy words
         S = data.draw(st.integers(1, 1 << n), label="S")
         spec = BalanceSpec(S, r)
         assert_same_search(
@@ -612,6 +613,42 @@ class TestSearch:
             tracemalloc.stop()
         assert peak < 32 * 2**20
         want = oracles.per_trial_search(n, m, spec, "random", trials=40, seed=3)
+        assert_same_search(got, want)
+
+    def test_hit_at_trial_zero_scans_one_table(self, monkeypatch):
+        # every passing table in a chunk costs a full scan, so a search
+        # whose first trial passes must not scan a chunk of others with it
+        scanned = []
+        first_misses = btable._first_misses
+        monkeypatch.setattr(
+            btable, "_first_misses",
+            lambda cells, M, spec: scanned.append(len(cells)) or first_misses(cells, M, spec),
+        )
+        hit = search_table(3, 1, BalanceSpec(6, 2), "random", trials=300, seed=5)
+        assert hit_trial(hit) == 0 and scanned == [1]
+
+    def test_draw_memory_no_higher_than_per_trial_generators(self, monkeypatch):
+        # a draw holds its chunk and one table's raw words, never a
+        # (T, N*N) temporary; per-trial generators hold a chunk twice, as
+        # a list of tables and as their stacked copy
+        def peak(fn, *args):
+            tracemalloc.start()
+            try:
+                return fn(*args), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        btable._random_cells(5, 0, 1, 2, 1)  # first-call set-up, outside the measurement
+        got, ours = peak(btable._random_cells, 5, 0, 8, 256, 1)
+        want, theirs = peak(per_trial_cells, 5, 0, 8, 256, 1)
+        assert np.array_equal(got, want) and ours <= theirs
+        # n=10: one 4 MiB table per chunk, so the scan sets the peak
+        search = lambda: search_table(10, 1, BalanceSpec(1, 2), "random", trials=2, seed=5)
+        search()  # fill first-call caches outside both measurements
+        got, ours = peak(search)
+        monkeypatch.setattr(btable, "_random_cells", per_trial_cells)
+        want, theirs = peak(search)
+        assert ours <= theirs + 2**12  # Python objects' noise; a table is 4 MiB
         assert_same_search(got, want)
 
     @pytest.mark.parametrize("trials", [0, -3])
@@ -670,6 +707,60 @@ class TestSearch:
     def test_unknown_strategy(self):
         with pytest.raises(ParameterError):
             search_table(1, 1, BalanceSpec(S=1, shift_bound=1), "quantum")
+
+
+def per_trial_cells(seed, start, stop, N, m):
+    """``btable._random_cells`` as one generator per trial."""
+    cells = [
+        np.random.default_rng([seed, t]).integers(0, 2**m, size=(N, N), dtype=np.uint32)
+        for t in range(start, stop)
+    ]
+    return np.array(cells, dtype=np.uint32).reshape(-1, N, N)
+
+
+class TestRandomCells:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**130),
+        start=st.integers(0, 2**40),
+        size=st.integers(1, 40),
+        n=st.integers(1, 6),
+        m=st.integers(1, btable.MAX_M),
+    )
+    @example(seed=0, start=0, size=3, n=1, m=1)
+    @example(seed=1, start=0, size=2, n=2, m=btable.MAX_M)
+    @example(seed=2**32 - 1, start=0, size=33, n=3, m=2)
+    @example(seed=2**32, start=7, size=5, n=2, m=5)
+    @example(seed=2**63 - 1, start=0, size=4, n=3, m=1)
+    @example(seed=2**64, start=0, size=4, n=2, m=3)
+    @example(seed=2**96 + 5, start=0, size=4, n=2, m=17)
+    @example(seed=2**130, start=2**40, size=3, n=2, m=9)
+    def test_matches_per_trial_generators(self, seed, start, size, n, m):
+        # entropy [seed, t] is seed's 32-bit words then t's: 2 to 7 words,
+        # so some run past SeedSequence's 4-word pool
+        got = btable._random_cells(seed, start, start + size, 1 << n, m)
+        assert got.dtype == np.uint32
+        np.testing.assert_array_equal(got, per_trial_cells(seed, start, start + size, 1 << n, m))
+
+    @pytest.mark.parametrize("seed", [0, 2026, 2**64 + 5, 2**96 + 5])
+    def test_chunk_across_two_to_the_32(self, seed):
+        # t = 2^32 - 1 is one word and t = 2^32 two, in one chunk
+        start = 2**32 - 3
+        got = btable._random_cells(seed, start, start + 6, 4, 3)
+        np.testing.assert_array_equal(got, per_trial_cells(seed, start, start + 6, 4, 3))
+
+    def test_integers_keeps_the_top_bits_of_raw_words(self):
+        # _random_cells rebuilds Generator.integers from PCG64's raw words:
+        # for a range 2^m, the top m bits of each 32-bit half, low half first
+        for m in range(1, btable.MAX_M + 1):
+            drawn = np.random.default_rng([1, 0]).integers(0, 2**m, 64, np.uint32)
+            raw = np.random.PCG64([1, 0]).random_raw(32).astype("<u8").view("<u4") >> (32 - m)
+            assert np.array_equal(drawn, raw), (
+                f"m={m}: Generator.integers no longer keeps the top bits of PCG64's "
+                "32-bit halves.  NEP 19 keeps bit-generator streams stable across "
+                "numpy versions, but not Generator methods; btable._random_cells "
+                "must follow the new integers algorithm"
+            )
 
 
 class TestApply:

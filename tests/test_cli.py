@@ -89,6 +89,26 @@ class TestTableCommands:
         prov = btable.read_provenance(out_a)
         assert "seed=2026" in prov and "mode=random" in prov
 
+    @pytest.mark.parametrize("seed,trials,trial", [(2026, 400, 332), (2**64 + 5, 300, 220)])
+    def test_search_output_pinned(self, capsys, tmp_path, seed, trials, trial):
+        # stdout and sidecar as recorded when each trial had its own
+        # generator; the entropy [2^64 + 5, t] is four words, one past the
+        # three of every seed below 2^64
+        out = tmp_path / "t.ktb"
+        code, stdout, _ = run(
+            capsys, "table", "search", "--n", "3", "--m", "1", "--S", "4",
+            "--shift-bound", "2", "--trials", str(trials), "--seed", str(seed),
+            "--out", str(out),
+        )
+        prov = f"searched(seed={seed},trial={trial})"
+        assert (code, stdout) == (0, f"seed {seed}\nwrote {out}\nprovenance {prov}\n")
+        want = oracles.per_trial_search(3, 1, btable.BalanceSpec(4, 2), trials=trials, seed=seed)
+        assert btable.read_table(out) == want and want.provenance == prov
+        assert btable.read_provenance(out) == (
+            f"provenance={prov}\nmode=random\nseed={seed}\n"
+            f"spec=BalanceSpec(S=4, shift_bound=2)\ntrials={trials}\n"
+        )
+
     def test_search_failure_exits_1(self, capsys, tmp_path):
         code, out, _ = run(
             capsys, "table", "search", "--n", "2", "--m", "2", "--S", "1",
