@@ -49,18 +49,9 @@ subset's pair counts), so a chunk shares the cost of each block.
 ``_random_cells`` draws a chunk in one pass and gives the tables of
 per-trial generators keyed by (seed, t): numpy builds each trial's
 SeedSequence pool, the pools' output hash runs on the whole chunk at
-once, and one reused PCG64 takes each trial's state in turn.
-
-What is left, on a 2-core Xeon: in a search at n=3, m=2, the draw is
-about a quarter of the time (12 of 50 us a trial, where a generator per
-trial took 23 us), most of it numpy's SeedSequence constructor and the
-PCG64 state setter, once a trial; the scan's S fancy-index adds and
-its ``np.partition`` take most of the rest.  In verification, the
-certificate closes 76 of the 132 checks in the benchmark's n=4,
-S=10-12 proofs (seed 2026).  What still scans is the checks it misses
-(m=1 at S=10, and m=2 below S=12) and ``condense`` runs whose color set
-A covers less than half the colors, where the ceiling of
-``condense.verify_balance`` is rarely met.
+once, and one reused PCG64 takes each trial's state in turn.  A check
+with more labels than its grids hold cells (wide colors, m up to 31)
+scans only the labels present, renumbered in order by ``_compact``.
 Sampled verification draws its rectangles from ``_sampled_rects``, keyed
 by the seed for the single-color check and by [seed, i, j] for pair (i, j).
 """
@@ -379,6 +370,17 @@ def _labels(cells: np.ndarray, M: int, pair) -> np.ndarray:
     return shifted(pair[0]) * M + shifted(pair[1])
 
 
+def _compact(grids: np.ndarray, K: int):
+    """(grids, K, labels) for a scan: as given, with labels range(K), when
+    K is at most the number of cells; else the labels that occur,
+    renumbered from 0 in increasing order so the scan's counts fit its
+    cells.  labels[k] is the label that scan label k stands for."""
+    if K <= grids.size:
+        return grids, K, range(K)
+    labels, inverse = np.unique(grids, return_inverse=True)
+    return inverse.reshape(grids.shape), len(labels), labels
+
+
 def _checks(M: int, spec: BalanceSpec, only: Optional[str] = None):
     """Yield (condition, K, pair, most) per check in verification order: K
     labels, pair None for single-color, and most the largest count allowed
@@ -407,6 +409,7 @@ def _verify(table, spec, condition, mode, trials, seed, budget) -> VerifyResult:
         grid = _labels(table.cells, M, pair)
         if _marginal_bound(grid, S) <= most:  # no rectangle can exceed most
             continue
+        grid, K, labels = _compact(grid, K)
         hit = None
         if mode == "exhaustive":
             first = _first_violation(grid[None], K, S, most)[0]
@@ -422,6 +425,7 @@ def _verify(table, spec, condition, mode, trials, seed, budget) -> VerifyResult:
                     break
         if hit is not None:
             B1, B2, label, count = hit
+            label = int(labels[label])
             colors = (label,) if pair is None else (label // M, label % M, *pair)
             return VerifyResult(False, (B1, B2, *colors), count)
     return VerifyResult(True)
@@ -472,9 +476,9 @@ def _first_misses(cells: np.ndarray, M: int, spec: BalanceSpec) -> list:
     for condition, K, pair, most in _checks(M, spec):
         if not live:
             break
-        grids = _labels(cells[live], M, pair)
-        for t, hit in zip(live, _first_violation(grids, K, S, most)):
-            if hit is not None:
+        grids, scan_K, _ = _compact(_labels(cells[live], M, pair), K)
+        for t, hit in zip(live, _first_violation(grids, scan_K, S, most)):
+            if hit is not None:  # the ratio's K is the check's, not the scan's
                 misses[t] = hit[2] * K / (2 * S * S), condition
         live = [t for t in live if misses[t] is None]
     return misses
@@ -523,8 +527,7 @@ def search_table(
     *,
     trials: int = 10**4,
     seed: Optional[int] = None,
-    table_budget: Optional[int] = None,
-    pair_budget: Optional[int] = None,
+    budget: Optional[int] = None,
 ) -> Union[Table, SearchFailure]:
     """Find a table passing exhaustive verification, or report failure.
 
@@ -532,7 +535,9 @@ def search_table(
     table ``np.random.default_rng([seed, t])`` draws, so runs are
     reproducible and trials are independent jobs.  exhaustive strategy:
     enumerate all M^(N^2) cell arrays in lexicographic order and return
-    the least passing one (or prove none exists).
+    the least passing one (or prove none exists).  ``budget`` caps both
+    the exhaustive candidate count and the verification's subset pairs;
+    None means DEFAULT_TABLE_BUDGET and DEFAULT_PAIR_BUDGET.
 
     Candidates are drawn and verified in chunks that double from one
     table up to as many as fit in SCAN_BLOCK_ENTRIES cells and
@@ -553,12 +558,12 @@ def search_table(
         draw = lambda start, stop: _random_cells(seed, start, stop, N, m)
         provenance = lambda t: f"searched(seed={seed},trial={t})"
     elif strategy == "exhaustive":
-        total = M ** (N * N)
-        limit = DEFAULT_TABLE_BUDGET if table_budget is None else table_budget
-        if total > limit:
+        limit = DEFAULT_TABLE_BUDGET if budget is None else budget
+        if m * N * N >= max(limit, 0).bit_length():  # 2^k > limit, without building 2^k
             raise ResourceError(
-                f"exhaustive search over {total} tables exceeds budget {limit}"
+                f"exhaustive search over 2^{m * N * N} tables exceeds budget {limit}"
             )
+        total = M ** (N * N)
         # table t's cells are t's base-M digits, most significant first,
         # the order of itertools.product(range(M), repeat=N * N)
         shifts = m * np.arange(N * N - 1, -1, -1)
@@ -569,7 +574,7 @@ def search_table(
     else:
         raise ParameterError(f"unknown search strategy {strategy!r}")
     spec.check_fits(N)
-    _check_budget(N, spec.S, pair_budget, "single-color verification")
+    _check_budget(N, spec.S, budget, "single-color verification")
     best = (math.inf, -1, "")
     largest = max(1, SCAN_BLOCK_ENTRIES // (N * max(N, M * M)))
     start, size = 0, 1

@@ -26,21 +26,18 @@ import re
 import sys
 
 from . import extend, kproxy
-from .errors import (
-    BackendError,
-    DecodeError,
-    DomainError,
-    ParameterError,
-    ResourceError,
-)
+from .errors import DecodeError, KextractError, ParameterError
 from .gf2n import field_params, multiples
 
 
-def _parse_hex(text: str, what: str) -> tuple[int, int]:
-    """(value, bit length) from lowercase hex."""
-    if not re.fullmatch("[0-9a-f]+", text):
-        raise ParameterError(f"{what}: {text!r} is not lowercase hex")
-    return int(text, 16), 4 * len(text)
+def _hex_pair(x1: str, x2: str) -> tuple[int, int, int]:
+    """(x1, x2, bit length) from two equal-length lowercase hex strings."""
+    for what, text in (("x1", x1), ("x2", x2)):
+        if not re.fullmatch("[0-9a-f]+", text):
+            raise ParameterError(f"{what}: {text!r} is not lowercase hex")
+    if len(x1) != len(x2):
+        raise ParameterError(f"inputs differ in length: {4 * len(x1)} vs {4 * len(x2)} bits")
+    return int(x1, 16), int(x2, 16), 4 * len(x1)
 
 
 def _read_bits_file(path: str, bits: int) -> int:
@@ -102,10 +99,7 @@ def _print_seed(kw) -> None:
 def _pair_input(args, table_n: int) -> tuple[int, int]:
     """The two table inputs, from hex positionals or binary files."""
     if args.x1 is not None and args.x2 is not None:
-        v1, n1 = _parse_hex(args.x1, "x1")
-        v2, n2 = _parse_hex(args.x2, "x2")
-        if n1 != n2:
-            raise ParameterError(f"inputs differ in length: {n1} vs {n2} bits")
+        v1, v2, n1 = _hex_pair(args.x1, args.x2)
         if n1 != table_n:
             raise ParameterError(f"inputs are {n1}-bit but the table needs {table_n}")
         return v1, v2
@@ -126,16 +120,13 @@ def _pair_input(args, table_n: int) -> tuple[int, int]:
 
 
 def _cmd_extend(args) -> int:
-    x1, n1 = _parse_hex(args.x1, "x1")
-    x2, n2 = _parse_hex(args.x2, "x2")
-    if n1 != n2:
-        raise ParameterError(f"inputs differ in length: {n1} vs {n2} bits")
-    params = field_params(n1)
-    if args.count is None and args.k >= n1:  # n^k >= 2^n: too many, and too big to build
-        raise ParameterError(f"--k {args.k}: n^k outputs exceed 2^{n1} - 1")
-    count = args.count if args.count is not None else n1**args.k
+    x1, x2, n = _hex_pair(args.x1, args.x2)
+    params = field_params(n)
+    if args.count is None and args.k >= n:  # n^k >= 2^n: too many, and too big to build
+        raise ParameterError(f"--k {args.k}: n^k outputs exceed 2^{n} - 1")
+    count = args.count if args.count is not None else n**args.k
     req = extend.ExtendRequest(x1, x2, count, params)
-    width = _hex_width(n1)
+    width = _hex_width(n)
     for z in extend.iter_extend(req):
         print(f"{z:0{width}x}")
     return 0
@@ -145,24 +136,15 @@ def _cmd_table_search(args) -> int:
     from . import btable
 
     spec = btable.BalanceSpec(S=args.S, shift_bound=args.shift_bound)
-    budget = _budget(args)
-    if args.mode == "exhaustive":
-        result = btable.search_table(
-            args.n, args.m, spec, "exhaustive",
-            table_budget=budget, pair_budget=budget,
-        )
-        sidecar = {"mode": "exhaustive", "spec": spec}
-    else:
-        seed = _seed(args)
-        result = btable.search_table(
-            args.n, args.m, spec, "random",
-            trials=args.trials, seed=seed, pair_budget=budget,
-        )
-        print(f"seed {seed}")  # only once the library has accepted the run
-        sidecar = {"mode": "random", "seed": seed, "trials": args.trials, "spec": spec}
+    strategy = "random" if args.mode == "sampled" else "exhaustive"
+    kw = _verify_kw(args)
+    result = btable.search_table(args.n, args.m, spec, strategy, **kw)
+    _print_seed(kw)
     if isinstance(result, btable.SearchFailure):
         print(str(result))
         return 1
+    sidecar = dict(kw, mode=strategy, spec=spec)
+    del sidecar["budget"]
     btable.write_table(result, args.out, sidecar)
     print(f"wrote {args.out}")
     print(f"provenance {result.provenance}")
@@ -394,9 +376,12 @@ def _add_pair_input_flags(p):
     p.add_argument("--bits", type=int, help="bit length for file inputs")
 
 
-def _add_verify_flags(p):
-    p.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
-    p.add_argument("--trials", type=int, default=1000)
+def _add_verify_flags(p, mode="exhaustive", trials=1000):
+    p.add_argument(
+        "--mode", choices=["exhaustive", "sampled"], default=mode,
+        help="sampled = random trials, exhaustive = full enumeration",
+    )
+    p.add_argument("--trials", type=int, default=trials)
     p.add_argument("--seed", type=int)
     p.add_argument("--budget", type=int)
 
@@ -425,13 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--S", type=int, required=True)
     p.add_argument("--shift-bound", type=int, required=True)
-    p.add_argument(
-        "--mode", choices=["sampled", "exhaustive"], default="sampled",
-        help="sampled = random trials, exhaustive = full enumeration",
-    )
-    p.add_argument("--trials", type=int, default=10**4)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--budget", type=int)
+    _add_verify_flags(p, "sampled", 10**4)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_table_search)
 
@@ -542,10 +521,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (ParameterError, DomainError, DecodeError, BackendError, ResourceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (KextractError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a bug, not an analytic negative: never exit 1

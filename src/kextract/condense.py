@@ -73,10 +73,6 @@ class CondenseSchedule:
         t = self.alpha + 10 * _ceil_log2(self.n) + slack + 3
         object.__setattr__(self, "epsilon", epsilon)
         object.__setattr__(self, "t", t)
-        if not 0 < epsilon < 1:
-            raise ParameterError(f"derived epsilon={epsilon} outside (0, 1)")
-        if t < 1:
-            raise ParameterError(f"derived t={t} < 1")
 
 
 @dataclass(frozen=True)

@@ -172,18 +172,18 @@ def count_rows(
 
     ``rows(x1)`` gets a block of consecutive first inputs (uint64) and
     returns the map's values at (x1[k], x2) for every x2 < 2^n,
-    row-major, as unsigned ints below 2^out_bits.  The values are
-    counted with np.bincount when there are at most four outcomes per
-    evaluation, in blocks of at least a quarter of the outcomes; else
-    they are gathered and counted with np.unique.  Rejects the run up
-    front when its 2^(2n) evaluations exceed ``budget``.
+    row-major, as unsigned ints below 2^out_bits.  A block of about
+    BLOCK values at a time is added in place into one dense count array
+    (np.add.at) when there are at most four outcomes per evaluation;
+    else the values are gathered and counted with np.unique.  Rejects
+    the run up front when its 2^(2n) evaluations exceed ``budget``.
     """
     check_pushforward_budget(n, budget)
     _check_bits(out_bits)
     N = 1 << n
     size = 1 << out_bits
     dense = size <= 4 * N * N
-    step = max(1, max(BLOCK, size >> 2 if dense else 0) >> n)
+    step = max(1, BLOCK >> n)
     counts = np.zeros(size if dense else 0, np.int64)
     seen = []
     for lo in range(0, N, step):
@@ -191,7 +191,7 @@ def count_rows(
         if out_bits < MAX_BITS and values.max() >> out_bits:
             raise ParameterError(f"an outcome does not fit in {out_bits} bits")
         if dense:
-            counts += np.bincount(values.astype(np.intp), minlength=size)
+            np.add.at(counts, values.astype(np.intp), 1)
         else:
             seen.append(values.astype(np.uint64))
     if dense:

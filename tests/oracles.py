@@ -131,6 +131,26 @@ def naive_shift_pair_verdict(cells, S, M, shift_bound):
     return True, None, None
 
 
+def dict_first_violation(grid, S, most):
+    """First (B1, B2, label, count) with count > most over the S x S
+    rectangles of a label grid (a list of rows), else None: row subsets
+    in lexicographic order, labels ascending, the S columns richest in
+    the label (lowest first on ties).  Counts live in dicts, so labels
+    may be as wide as the caller likes."""
+    N = len(grid)
+    for B1 in itertools.combinations(range(N), S):
+        cols = {}
+        for x in B1:
+            for y, label in enumerate(grid[x]):
+                cols.setdefault(label, [0] * N)[y] += 1
+        for label in sorted(cols):
+            best = sorted(range(N), key=lambda y: (-cols[label][y], y))[:S]
+            count = sum(cols[label][y] for y in best)
+            if count > most:
+                return B1, tuple(sorted(best)), label, count
+    return None
+
+
 def _allsizes_grid_ok(grid: np.ndarray, K: int, S: int, mult: int) -> bool:
     """Every rectangle with both sides >= S satisfies count * mult <= 2*s1*s2.
 
@@ -479,8 +499,7 @@ def extend_outputs(x1: int, x2: int, count: int, modulus: int) -> tuple:
 
 
 def per_trial_search(
-    n, m, spec, strategy="random", *, trials=10**4, seed=None,
-    table_budget=None, pair_budget=None,
+    n, m, spec, strategy="random", *, trials=10**4, seed=None, budget=None,
 ):
     from kextract.btable import (
         DEFAULT_TABLE_BUDGET, SearchFailure, Table, verify_color_bound,
@@ -498,12 +517,12 @@ def per_trial_search(
             rng = np.random.default_rng([seed, t])
             cells = rng.integers(0, M, size=(N, N), dtype=np.uint32)
             table = Table(n, m, cells, f"searched(seed={seed},trial={t})")
-            r1 = verify_color_bound(table, spec, budget=pair_budget)
+            r1 = verify_color_bound(table, spec, budget=budget)
             if not r1.ok:
                 ratio = miss_ratio(r1, M)
                 best = min(best, (ratio, t, "single-color"), key=lambda b: b[0])
                 continue
-            r2 = verify_shift_pair_bound(table, spec, budget=pair_budget)
+            r2 = verify_shift_pair_bound(table, spec, budget=budget)
             if not r2.ok:
                 ratio = miss_ratio(r2, M)
                 best = min(best, (ratio, t, "shifted-pair"), key=lambda b: b[0])
@@ -511,14 +530,14 @@ def per_trial_search(
             return table
         return SearchFailure(trials, best[0], best[1], best[2])
     total = M ** (N * N)
-    limit = DEFAULT_TABLE_BUDGET if table_budget is None else table_budget
+    limit = DEFAULT_TABLE_BUDGET if budget is None else budget
     assert total <= limit
     tried = 0
     for flat in itertools.product(range(M), repeat=N * N):
         tried += 1
         table = Table(n, m, np.array(flat, dtype=np.uint32), "searched(exhaustive)")
-        r1 = verify_color_bound(table, spec, budget=pair_budget)
-        r2 = verify_shift_pair_bound(table, spec, budget=pair_budget)
+        r1 = verify_color_bound(table, spec, budget=budget)
+        r2 = verify_shift_pair_bound(table, spec, budget=budget)
         if r1.ok and r2.ok:
             return table
     return SearchFailure(tried, math.inf, -1, "none")

@@ -670,7 +670,7 @@ class TestSearch:
 
     def test_search_budget_message(self):
         with pytest.raises(ResourceError, match="single-color verification needs 4900 subset pairs"):
-            search_table(3, 1, SPEC34, "random", trials=3, seed=0, pair_budget=4899)
+            search_table(3, 1, SPEC34, "random", trials=3, seed=0, budget=4899)
 
     def test_random_search_reproducible(self):
         a = search_table(3, 1, SPEC34, "random", trials=2000, seed=2026)
@@ -701,12 +701,116 @@ class TestSearch:
             assert not (r1.ok and r2.ok)
 
     def test_exhaustive_search_budget(self):
-        with pytest.raises(ResourceError):
+        with pytest.raises(ResourceError, match=r"over 2\^32 tables exceeds budget 65536"):
             search_table(2, 2, BalanceSpec(S=2, shift_bound=1), "exhaustive")
+
+    def test_exhaustive_budget_boundary(self):
+        # n=1, m=1: 2^4 candidate tables, and the refusal is exact at 2^4
+        spec = BalanceSpec(S=2, shift_bound=2)
+        assert isinstance(search_table(1, 1, spec, "exhaustive", budget=16), Table)
+        for budget in (15, 0, -3):
+            with pytest.raises(ResourceError, match=rf"over 2\^4 tables exceeds budget {budget}$"):
+                search_table(1, 1, spec, "exhaustive", budget=budget)
+
+    def test_exhaustive_refusal_builds_no_table_count(self):
+        # 2^(31 * 4096^2) is a 65 MB integer, and its decimal form is past
+        # Python's int-to-string limit: the refusal compares exponents only
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError, match=r"over 2\^520093696 tables exceeds budget 65536$"):
+                search_table(12, 31, SPEC34, "exhaustive")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_unknown_strategy(self):
         with pytest.raises(ParameterError):
             search_table(1, 1, BalanceSpec(S=1, shift_bound=1), "quantum")
+
+
+class TestWideLabels:
+    """Checks with more labels than their grids hold cells count only the
+    labels present, renumbered in order, and give the same answers."""
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    @pytest.mark.parametrize(
+        "m,S,r,check,want",
+        [
+            # recorded before the renumbering, when the scans counted all
+            # 4096 (m=12, single-color) or 256 (m=4, pair) labels
+            (12, 2, 2, "single-color", {
+                "exhaustive": VerifyResult(False, ((0, 1), (0, 4), 263), 1),
+                "sampled": VerifyResult(False, ((0, 5), (1, 7), 734), 1),
+            }),
+            (4, 6, 3, "shifted-pair", {
+                "exhaustive": VerifyResult(False, ((0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 6), 0, 14, 1, 2), 1),
+                "sampled": VerifyResult(False, ((0, 1, 2, 4, 6, 7), (0, 1, 3, 4, 6, 7), 0, 14, 1, 2), 1),
+            }),
+        ],
+    )
+    def test_verify_unchanged(self, mode, m, S, r, check, want):
+        rng = np.random.default_rng(m)
+        table = Table(3, m, rng.integers(0, 1 << m, (8, 8), dtype=np.uint32))
+        spec = BalanceSpec(S, r)
+        verify = verify_color_bound if check == "single-color" else verify_shift_pair_bound
+        kw = {"trials": 5, "seed": 3} if mode == "sampled" else {}
+        got = verify(table, spec, mode, **kw)
+        assert got == want[mode]
+        # and the earlier one-hot scans agree, on the same label grid
+        M = table.M
+        K = M if check == "single-color" else M * M
+        grid = btable._labels(table.cells.astype(np.int64), M, None if check == "single-color" else (1, 2))
+        if mode == "exhaustive":
+            ref = oracles.lex_exhaustive_scan(grid, K, S, lambda c: c > 2 * S * S // K)
+        else:
+            ref = oracles.sampled_scan(grid, K, S, 2 * S * S // K, 5, 3 if check == "single-color" else [3, 1, 2])
+        B1, B2, label, count = ref
+        colors = (label,) if check == "single-color" else (label // M, label % M, 1, 2)
+        assert got == VerifyResult(False, (B1, B2, *colors), count)
+
+    @pytest.mark.parametrize(
+        "n,m,S,r,trials,want",
+        [  # recorded before the renumbering
+            (3, 12, 2, 2, 20, SearchFailure(20, 512.0, 0, "single-color")),
+            (3, 4, 3, 2, 40, SearchFailure(40, 32 / 18, 0, "single-color")),
+            (2, 3, 2, 2, 40, SearchFailure(40, 2.0, 1, "single-color")),
+        ],
+    )
+    def test_search_unchanged(self, n, m, S, r, trials, want):
+        spec = BalanceSpec(S, r)
+        got = search_table(n, m, spec, "random", trials=trials, seed=4)
+        assert got == want
+        assert got == oracles.per_trial_search(n, m, spec, "random", trials=trials, seed=4)
+
+    def test_few_labels_skip_the_renumbering(self):
+        grid = random_table(3, 2, 1).cells
+        assert btable._compact(grid, 16)[0] is grid
+        assert btable._compact(grid, 64)[0] is grid
+        assert btable._compact(grid[None], 64)[2] == range(64)
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_31_bit_colors(self, mode):
+        # 2^31 colors and 2^62 pair labels on 64 cells; a few wide colors
+        # repeat, so the witness counts are more than one cell
+        palette = np.array([7, 2**30 + 5, 2**31 - 1], np.uint32)
+        cells = palette[np.random.default_rng(8).integers(0, 3, (8, 8))]
+        table = Table(3, 31, cells)
+        spec = BalanceSpec(3, 2)
+        kw = {"trials": 20, "seed": 1} if mode == "sampled" else {}
+        M, rows = table.M, cells.tolist()
+        single = verify_color_bound(table, spec, mode, **kw)
+        pair = verify_shift_pair_bound(table, spec, mode, **kw)
+        B1, B2, a = single.witness
+        assert single.count == oracles.color_count(rows, B1, B2, a) > 0
+        B1, B2, a, b, i, j = pair.witness
+        assert pair.count == oracles.shift_pair_count(rows, B1, B2, a, b, i, j) > 0
+        if mode == "exhaustive":
+            B1, B2, a, count = oracles.dict_first_violation(rows, 3, 0)
+            assert single == VerifyResult(False, (B1, B2, a), count)
+            paired = [[rows[(x + 1) % 8][y] * M + rows[(x + 2) % 8][y] for y in range(8)] for x in range(8)]
+            B1, B2, label, count = oracles.dict_first_violation(paired, 3, 0)
+            assert pair == VerifyResult(False, (B1, B2, label // M, label % M, 1, 2), count)
 
 
 def per_trial_cells(seed, start, stop, N, m):

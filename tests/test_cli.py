@@ -128,6 +128,72 @@ class TestTableCommands:
         assert run(capsys, *args, "--out", str(out_b))[0] == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    def test_exhaustive_search_hit_pinned(self, capsys, tmp_path):
+        out = tmp_path / "e.ktb"
+        code, stdout, _ = run(
+            capsys, "table", "search", "--n", "1", "--m", "1", "--S", "2",
+            "--shift-bound", "2", "--mode", "exhaustive", "--out", str(out),
+        )
+        assert (code, stdout) == (0, f"wrote {out}\nprovenance searched(exhaustive)\n")
+        assert btable.read_provenance(out) == (
+            "provenance=searched(exhaustive)\nmode=exhaustive\n"
+            "spec=BalanceSpec(S=2, shift_bound=2)\n"
+        )
+
+    def test_exhaustive_search_miss_pinned(self, capsys, tmp_path):
+        out = tmp_path / "e.ktb"
+        code, stdout, _ = run(
+            capsys, "table", "search", "--n", "1", "--m", "2", "--S", "2",
+            "--shift-bound", "2", "--mode", "exhaustive", "--out", str(out),
+        )
+        assert (code, stdout) == (1, "no balanced table among all 256 candidates\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n,m,k", [(2, 2, 32), (6, 4, 16384)])
+    def test_exhaustive_search_refusal(self, capsys, tmp_path, n, m, k):
+        # 2^16384 has more decimal digits than Python prints from an int
+        code, stdout, err = run(
+            capsys, "table", "search", "--mode", "exhaustive", "--n", str(n), "--m", str(m),
+            "--S", "2", "--shift-bound", "1", "--out", str(tmp_path / "t.ktb"),
+        )
+        assert (code, stdout) == (2, "")
+        assert err == f"error: exhaustive search over 2^{k} tables exceeds budget 65536\n"
+
+    def test_search_31_bit_colors(self, capsys, tmp_path):
+        # 2^31 colors on 64 cells: the scan counts the colors present
+        code, stdout, err = run(
+            capsys, "table", "search", "--n", "3", "--m", "31", "--S", "2",
+            "--shift-bound", "2", "--trials", "1", "--seed", "1",
+            "--out", str(tmp_path / "t.ktb"),
+        )
+        assert (code, err) == (1, "")
+        assert stdout == (
+            "seed 1\nno balanced table in 1 trials; nearest miss at trial 0 "
+            "(single-color bound, count/bound ratio 268435456.0000)\n"
+        )
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_verify_31_bit_colors(self, capsys, tmp_path, mode):
+        rng = np.random.default_rng(31)
+        cells = rng.integers(0, 2**31, (8, 8), dtype=np.uint32)
+        cells[2:5, 1:6] = 2**31 - 1  # one wide color that repeats
+        path = tmp_path / "w.ktb"
+        btable.write_table(btable.Table(3, 31, cells), path)
+        code, stdout, err = run(
+            capsys, "table", "verify", "--table", str(path), "--S", "3",
+            "--shift-bound", "2", "--mode", mode, "--seed", "5",
+        )
+        assert (code, err) == (1, "")
+        line = stdout.splitlines()[-1]
+        fields = dict(part.split("=") for part in line.split()[1:])
+        assert fields["condition"] == "single-color"
+        B1, B2 = (tuple(map(int, fields[k].split(","))) for k in ("B1", "B2"))
+        a, count = int(fields["a"]), int(fields["count"])
+        rows = cells.tolist()
+        assert count == oracles.color_count(rows, B1, B2, a) > 0  # 2^31 colors: most is 0
+        if mode == "exhaustive":
+            assert oracles.dict_first_violation(rows, 3, 0) == (B1, B2, a, count)
+
     def test_verify_ok(self, capsys, tmp_path):
         out = tmp_path / "good.ktb"
         run(
