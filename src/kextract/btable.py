@@ -26,9 +26,9 @@ One driver, ``_verify``, runs both verifiers: it gates its inputs once
 or the pair budget when exhaustive) and returns the first violation of
 the checks ``_checks`` lists in verification order: the single-color
 grid (skipped for M <= 2, where count <= S^2 <= 2S^2/M), then each shift
-pair i != j in ``itertools.permutations`` order.  Before it scans or
-samples a check, ``_verify`` tries a certificate: ``_marginal_bound``
-bounds every label's count in every S x S rectangle from the label's
+pair i != j in ``itertools.permutations`` order.  Before it scans a
+check, ``_verify`` tries a certificate: ``_marginal_bound`` bounds
+every label's count in every S x S rectangle from the label's
 counts per row and per column alone, and a check whose bound is at
 most its allowed count passes with no scan.  The answer is the OK the
 scan would give, so no output changes.  ``search_table`` walks the same
@@ -36,12 +36,16 @@ list over stacks of candidate tables without the certificate: on random
 tables at n=3, m=1, S=4 and at n=4, m=1, S=6 it closes none of 400
 checks, so there it would only add cost.
 
-Exhaustive verification walks every size-S row subset and, per label,
-bounds the worst column subset by the sum of the S largest per-column
-counts, which is exactly the maximum over all size-S column subsets.
-``_scan_blocks`` does this for ``btable`` and ``condense`` on a stack of
-T grids at once, in blocks of lexicographic row subsets that double up
-to SCAN_BLOCK_ENTRIES counts; ``_first_violation`` drops each grid from
+Both modes run one kernel, ``_scan_blocks``: per row subset B1 and
+label, the sum of the S largest per-column counts, exactly the maximum
+over all size-S column subsets.  The mode picks only the row subsets
+(``_row_subsets``): all of them in lexicographic order (exhaustive, a
+proof), or ``trials`` random ones keyed by the seed, or by [seed, i, j]
+for pair (i, j) (sampled, which can only refute).  A witness is B1, its
+richest columns (``_top_columns``) and its exact count.  The kernel
+scans a stack of T grids in blocks of row subsets that double up to
+SCAN_BLOCK_ENTRIES counts, and refuses a stack whose one row subset
+needs over SCAN_BLOCK_LIMIT; ``_first_violation`` drops each grid from
 the stack at its first violation.  The verifiers and ``condense`` scan
 one grid (T = 1).  ``search_table`` scans chunks of candidate tables
 that double from one table up to SCAN_BLOCK_ENTRIES cells (and one row
@@ -52,8 +56,6 @@ SeedSequence pool, the pools' output hash runs on the whole chunk at
 once, and one reused PCG64 takes each trial's state in turn.  A check
 with more labels than its grids hold cells (wide colors, m up to 31)
 scans only the labels present, renumbered in order by ``_compact``.
-Sampled verification draws its rectangles from ``_sampled_rects``, keyed
-by the seed for the single-color check and by [seed, i, j] for pair (i, j).
 """
 
 from __future__ import annotations
@@ -70,16 +72,18 @@ from .errors import DecodeError, ParameterError, ResourceError
 
 # Budgets: logical subset-pair count for exhaustive verification, table
 # count for exhaustive search, the largest n a table is materialized
-# densely for (2^(2n) cells), and the column counts a scan block holds
-# (128 KiB; a block has at least one row subset, whatever N * K is),
-# and the cells a KXTB read or write packs at a time (a multiple of 8,
-# so every block starts on a byte boundary; ~2 MiB of bits per block).
+# densely for (2^(2n) cells), the column counts a scan block holds
+# (128 KiB) and may hold for its one row subset (256 MiB, an n=9, m=9
+# pair check), and the cells a KXTB read or write packs at a time (a
+# multiple of 8, so every block starts on a byte boundary; ~2 MiB of
+# bits per block).
 # Colors are uint32 cells, and m <= MAX_M keeps pair labels a*M + b
 # within int64.
 DEFAULT_PAIR_BUDGET = 10**9
 DEFAULT_TABLE_BUDGET = 1 << 16
 DENSE_LIMIT_N = 12
 SCAN_BLOCK_ENTRIES = 1 << 16
+SCAN_BLOCK_LIMIT = 1 << 27
 IO_BLOCK_CELLS = 1 << 16
 MAX_M = 31
 
@@ -222,15 +226,20 @@ def _check_budget(N: int, S: int, budget: Optional[int], what: str) -> None:
         )
 
 
-def _scan_blocks(grids: np.ndarray, K: int, S: int):
-    """Yield (subsets, tops) for all size-S row subsets of T stacked N x N
-    grids, in blocks: subsets (B, S) in lexicographic order, tops (T, B, K)
-    each grid's per-label sum of its S largest per-column counts over the
-    subset's rows.  Sending back a (T,) boolean mask drops the grids it
-    marks False from later blocks."""
-    N = grids.shape[1]
+def _scan_blocks(grids: np.ndarray, K: int, S: int, rows=None):
+    """Yield (subsets, tops) for T stacked N x N grids over the sorted
+    size-S row subsets ``rows`` (default: all, lexicographic), in blocks:
+    subsets (B, S), tops (T, B, K) each grid's per-label sum of its S
+    largest per-column counts over the subset's rows.  Sending back a
+    (T,) boolean mask drops the grids it marks False from later blocks.
+    A stack that needs over SCAN_BLOCK_LIMIT counts a row subset is
+    refused before anything is allocated."""
+    T, N = grids.shape[:2]
+    if T * K * N > SCAN_BLOCK_LIMIT:
+        raise ResourceError(f"a scan block needs {T * K * N} counts for one row subset, "
+                            f"over the limit SCAN_BLOCK_LIMIT = {SCAN_BLOCK_LIMIT}")
     slots = grids.astype(np.intp) * N + np.arange(N)  # (t, x, y) -> label*N + y
-    rows = itertools.combinations(range(N), S)
+    rows = itertools.combinations(range(N), S) if rows is None else iter(rows)
     size = 1
     while len(slots):
         largest = max(1, SCAN_BLOCK_ENTRIES // (len(slots) * N * K))
@@ -258,13 +267,13 @@ def _top_columns(grid, B1, label, S: int) -> tuple:
     return tuple(sorted(order[:S]))
 
 
-def _first_violation(grids, K, S, most) -> list:
+def _first_violation(grids, K, S, most, rows=None) -> list:
     """Each grid's first (B1, label, count) with count > most in scan order
-    (lexicographic B1, then label), else None; a grid leaves the scan at
-    its first violation."""
+    (B1 in the order of ``rows``, lexicographic by default, then label),
+    else None; a grid leaves the scan at its first violation."""
     found = [None] * len(grids)
     live = np.arange(len(grids))
-    blocks = _scan_blocks(grids, K, S)
+    blocks = _scan_blocks(grids, K, S, rows)
     keep = None
     try:
         while len(live):
@@ -332,32 +341,26 @@ def _marginal_bound(grid: np.ndarray, S: int) -> int:
     return int(rows.max())
 
 
-def _check_trials(trials: int, seed) -> None:
-    """Random trials need a positive count and a nonnegative seed."""
-    if trials < 1:
+def _check_mode(mode: str, trials: int, seed) -> None:
+    """A check runs exhaustive or sampled; sampled (random) trials need a
+    positive count and a nonnegative seed."""
+    if mode not in ("exhaustive", "sampled"):
+        raise ParameterError(f"unknown mode {mode!r}")
+    if mode == "sampled" and trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
-    if seed is not None and seed < 0:
+    if mode == "sampled" and seed is not None and seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
 
 
-def _check_mode(mode: str, trials: int, seed) -> None:
-    """A verifier runs exhaustive or sampled; sampled runs need trials and seed."""
-    if mode not in ("exhaustive", "sampled"):
-        raise ParameterError(f"unknown mode {mode!r}")
-    if mode == "sampled":
-        _check_trials(trials, seed)
-
-
-def _sampled_rects(grid: np.ndarray, K: int, S: int, trials: int, seed):
-    """Yield (B1, B2, counts) for ``trials`` random S x S rectangles: B1 then
-    B2 drawn as sorted S-subsets of range(N), counts (K,) the cells of each
-    label in B1 x B2."""
-    N = grid.shape[0]
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        B1 = tuple(sorted(rng.choice(N, size=S, replace=False).tolist()))
-        B2 = tuple(sorted(rng.choice(N, size=S, replace=False).tolist()))
-        yield B1, B2, np.bincount(grid[np.ix_(B1, B2)].ravel(), minlength=K)
+def _row_subsets(N: int, S: int, mode: str, trials: int, seed, pair=None):
+    """The row subsets a check scans: None, the kernel's default of all of
+    them, when exhaustive; else ``trials`` sorted random ones, drawn lazily
+    as ``rng.choice(N, size=S, replace=False)`` from default_rng(seed), or
+    from default_rng([seed, i, j]) for the shift pair (i, j)."""
+    if mode == "exhaustive":
+        return None
+    rng = np.random.default_rng(seed if pair is None or seed is None else [seed, *pair])
+    return (sorted(rng.choice(N, size=S, replace=False).tolist()) for _ in range(trials))
 
 
 def _labels(cells: np.ndarray, M: int, pair) -> np.ndarray:
@@ -399,7 +402,8 @@ def _checks(M: int, spec: BalanceSpec, only: Optional[str] = None):
 
 def _verify(table, spec, condition, mode, trials, seed, budget) -> VerifyResult:
     """The balance-check driver behind both verifiers: gate the inputs,
-    then run ``condition``'s checks in order to the first violation."""
+    then run ``condition``'s checks in order to the first violation.  The
+    mode picks only the row subsets each check's scan walks."""
     S, N, M = spec.S, table.N, table.M
     spec.check_fits(N)
     _check_mode(mode, trials, seed)
@@ -410,21 +414,11 @@ def _verify(table, spec, condition, mode, trials, seed, budget) -> VerifyResult:
         if _marginal_bound(grid, S) <= most:  # no rectangle can exceed most
             continue
         grid, K, labels = _compact(grid, K)
-        hit = None
-        if mode == "exhaustive":
-            first = _first_violation(grid[None], K, S, most)[0]
-            if first is not None:
-                B1, label, count = first
-                hit = B1, _top_columns(grid, B1, label, S), label, count
-        else:  # the lowest label over ``most`` in the first such rectangle
-            key = seed if pair is None or seed is None else [seed, *pair]
-            for B1, B2, counts in _sampled_rects(grid, K, S, trials, key):
-                over = np.flatnonzero(counts > most)
-                if over.size:
-                    hit = B1, B2, int(over[0]), int(counts[over[0]])
-                    break
-        if hit is not None:
-            B1, B2, label, count = hit
+        rows = _row_subsets(N, S, mode, trials, seed, pair)
+        first = _first_violation(grid[None], K, S, most, rows)[0]
+        if first is not None:
+            B1, label, count = first
+            B2 = _top_columns(grid, B1, label, S)
             label = int(labels[label])
             colors = (label,) if pair is None else (label // M, label % M, *pair)
             return VerifyResult(False, (B1, B2, *colors), count)
@@ -443,8 +437,8 @@ def verify_color_bound(
     """Check the single-color bound: count <= (2/M) * S^2 per rectangle.
 
     Exhaustive mode proves the bound for every size-S rectangle pair (and
-    so for all larger rectangles); sampled mode only reports that no
-    violation was found among ``trials`` random rectangles.
+    so for all larger rectangles); sampled mode checks ``trials`` random
+    row subsets against all column subsets, so its ok proves nothing.
     """
     return _verify(table, spec, "single-color", mode, trials, seed, budget)
 
@@ -462,7 +456,7 @@ def verify_shift_pair_bound(
 
     Scans shift pairs (i, j) over [1..shift_bound]^2 with i != j (see the
     module docstring for why the diagonal carries no pair events); sampled
-    mode keys each pair's rectangles by [seed, i, j].
+    mode keys each pair's random row subsets by [seed, i, j].
     """
     return _verify(table, spec, "shifted-pair", mode, trials, seed, budget)
 
@@ -551,7 +545,7 @@ def search_table(
     _check_dims(n, m)
     N, M = 1 << n, 1 << m
     if strategy == "random":
-        _check_trials(trials, seed)
+        _check_mode("sampled", trials, seed)
         if seed is None:
             seed = secrets.randbits(63)
         total = trials
@@ -574,7 +568,7 @@ def search_table(
     else:
         raise ParameterError(f"unknown search strategy {strategy!r}")
     spec.check_fits(N)
-    _check_budget(N, spec.S, budget, "single-color verification")
+    _check_budget(N, spec.S, budget, "table search")
     best = (math.inf, -1, "")
     largest = max(1, SCAN_BLOCK_ENTRIES // (N * max(N, M * M)))
     start, size = 0, 1

@@ -96,6 +96,12 @@ def _print_seed(kw) -> None:
         print(f"seed {kw['seed']}")
 
 
+def _no_violation(kw) -> str:
+    """The verdict when no check fails: OK for a proof, UNREFUTED when
+    random row subsets found no violation, which proves nothing."""
+    return f"UNREFUTED sampled trials={kw['trials']}" if "trials" in kw else "OK"
+
+
 def _pair_input(args, table_n: int) -> tuple[int, int]:
     """The two table inputs, from hex positionals or binary files."""
     if args.x1 is not None and args.x2 is not None:
@@ -178,7 +184,7 @@ def _cmd_table_verify(args) -> int:
     if not result.ok:
         print(f"VIOLATION {_format_witness(result.witness)} count={result.count}")
         return 1
-    print("OK")
+    print(_no_violation(kw))
     return 0
 
 
@@ -232,8 +238,9 @@ def _cmd_condense_verify(args) -> int:
         table, args.delta, args.epsilon, c, colors, args.mode, **kw
     )
     _print_seed(kw)
-    if report.ok:
-        print(f"OK worst_ratio={report.worst_ratio:.12g}")
+    if report.ok:  # a sampled ratio bounds the true one from below
+        relation = ">=" if "trials" in kw else "="
+        print(f"{_no_violation(kw)} worst_ratio{relation}{report.worst_ratio:.12g}")
         return 0
     B1, B2 = report.witness
     print(
@@ -376,11 +383,12 @@ def _add_pair_input_flags(p):
     p.add_argument("--bits", type=int, help="bit length for file inputs")
 
 
-def _add_verify_flags(p, mode="exhaustive", trials=1000):
-    p.add_argument(
-        "--mode", choices=["exhaustive", "sampled"], default=mode,
-        help="sampled = random trials, exhaustive = full enumeration",
-    )
+_CHECK_MODES = ("exhaustive = a proof over all row subsets (prints OK); sampled = a search "
+                "of --trials random row subsets for a violation (UNREFUTED if none)")
+
+
+def _add_verify_flags(p, mode="exhaustive", trials=1000, modes=_CHECK_MODES):
+    p.add_argument("--mode", choices=["exhaustive", "sampled"], default=mode, help=modes)
     p.add_argument("--trials", type=int, default=trials)
     p.add_argument("--seed", type=int)
     p.add_argument("--budget", type=int)
@@ -410,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--S", type=int, required=True)
     p.add_argument("--shift-bound", type=int, required=True)
-    _add_verify_flags(p, "sampled", 10**4)
+    modes = "sampled = --trials random tables, exhaustive = every table in order"
+    _add_verify_flags(p, "sampled", 10**4, modes)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_table_search)
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import btable, stats
 from .btable import Table, _ceil_log2, _check_budget, _check_dims
-from .btable import _check_mode, _sampled_rects, _scan_blocks, _top_columns
+from .btable import _check_mode, _row_subsets, _scan_blocks, _top_columns
 from .errors import ParameterError
 from .gf2n import field_params, mul_bits
 
@@ -112,15 +112,16 @@ def verify_balance(
 ) -> BalanceReport:
     """Check the A-colored cell bound on all rectangles with sides of
     size exactly ceil(2^(delta*n)); larger rectangles follow by the
-    averaging argument.  Both modes run a ``btable`` kernel on the
-    A-indicator grid: exhaustive mode the block scan, where worst_ratio
-    and the witness come from the first row subset, lexicographically,
-    that reaches the largest count; sampled mode the rectangle sampler,
-    where they come from the first sampled rectangle that reaches it.
+    averaging argument.  Both modes run the ``btable`` block scan on the
+    A-indicator grid, where worst_ratio and the witness come from the
+    first row subset that reaches the largest count, with its richest
+    columns.  Exhaustive mode scans all row subsets in lexicographic
+    order; sampled mode ``trials`` random ones keyed by the seed, so its
+    worst_ratio only bounds the exhaustive one from below.
 
-    Both modes stop as soon as the running maximum reaches the ceiling
+    The scan stops as soon as the running maximum reaches the ceiling
     ``btable._marginal_bound`` gives for the indicator grid, which no
-    rectangle's count can pass.  A later rectangle could at most tie,
+    rectangle's count can pass.  A later row subset could at most tie,
     and ties keep the earlier witness, so the stop changes neither
     worst_ratio nor the witness; it ends at once, for instance, a scan
     of a table whose cells all lie in A.
@@ -147,20 +148,14 @@ def verify_balance(
     ceiling = btable._marginal_bound(indicator, R)  # no rectangle holds more of A
 
     best_count, best = 0, None
-    if mode == "exhaustive":
-        for subsets, tops in _scan_blocks(indicator[None], 2, R):  # label 1 marks A
-            b = int(np.argmax(tops[0, :, 1]))
-            if tops[0, b, 1] > best_count:
-                best_count, B1 = int(tops[0, b, 1]), tuple(subsets[b].tolist())
-                best = B1, _top_columns(indicator, B1, 1, R)
-                if best_count >= ceiling:
-                    break
-    else:
-        for B1, B2, counts in _sampled_rects(indicator, 2, R, trials, seed):
-            if counts[1] > best_count:
-                best_count, best = int(counts[1]), (B1, B2)
-                if best_count >= ceiling:
-                    break
+    rows = _row_subsets(N, R, mode, trials, seed)
+    for subsets, tops in _scan_blocks(indicator[None], 2, R, rows):  # label 1 marks A
+        b = int(np.argmax(tops[0, :, 1]))
+        if tops[0, b, 1] > best_count:
+            best_count, B1 = int(tops[0, b, 1]), tuple(subsets[b].tolist())
+            best = B1, _top_columns(indicator, B1, 1, R)
+            if best_count >= ceiling:
+                break
     witness = best if best_count > bound else None
     return BalanceReport(witness is None, best_count / bound, witness)
 

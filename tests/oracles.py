@@ -256,39 +256,52 @@ def lex_balance_scan(cells, colors, R, bound):
     return witness is None, worst, witness
 
 
-# -- one-rectangle-at-a-time samplers: references for _sampled_rects -------
+# -- random row subsets: references for sampled mode -----------------------
 #
-# The library's earlier sampled checks, kept unchanged so the shared
-# rectangle sampler can be held to the same rectangles, witnesses and counts.
+# Sampled mode scans ``trials`` random row subsets B1, each drawn as
+# sorted(rng.choice(N, size=S, replace=False)) from default_rng(seed), and
+# checks each against all its column subsets: per label, the sum of the
+# label's S largest column counts on B1, the columns richest in it first
+# and the lower index first on ties.
+
+
+def sampled_rows(N, S, trials, seed):
+    """The row subsets a sampled check draws, in order."""
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        yield tuple(sorted(int(x) for x in rng.choice(N, size=S, replace=False)))
+
+
+def richest_columns(rows, B1, S, hit):
+    """(count, B2): the S columns with the most cells x in B1 for which
+    hit(rows[x][y]) holds, and the number of such cells in B1 x B2."""
+    N = len(rows[0])
+    colcounts = [sum(1 for x in B1 if hit(rows[x][y])) for y in range(N)]
+    cols = sorted(range(N), key=lambda y: (-colcounts[y], y))[:S]
+    return sum(colcounts[y] for y in cols), tuple(sorted(cols))
 
 
 def sampled_scan(colored, K, S, most, trials, seed):
-    """First sampled (B1, B2, color, count) with count > most, else None."""
-    N = colored.shape[0]
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        B1 = tuple(sorted(rng.choice(N, size=S, replace=False).tolist()))
-        B2 = tuple(sorted(rng.choice(N, size=S, replace=False).tolist()))
-        counts = np.bincount(colored[np.ix_(B1, B2)].ravel(), minlength=K)
-        for color in range(K):
-            if int(counts[color]) > most:
-                return B1, B2, color, int(counts[color])
+    """First sampled (B1, B2, label, count) with count > most, lowest
+    label first within a row subset, else None."""
+    rows = np.asarray(colored).tolist()
+    for B1 in sampled_rows(len(rows), S, trials, seed):
+        for label in range(K):
+            count, B2 = richest_columns(rows, B1, S, lambda v: v == label)
+            if count > most:
+                return B1, B2, label, count
     return None
 
 
 def sampled_balance(cells, colors, R, bound, trials, seed):
     """(ok, worst_ratio, witness) of the colored-cell bound over sampled
-    R x R rectangles; the witness is the first one at the largest count."""
-    cells = np.asarray(cells)
-    N = cells.shape[0]
-    indicator = np.isin(cells, np.array(sorted(set(colors)), dtype=cells.dtype))
-    indicator = indicator.astype(np.int64)
-    rng = np.random.default_rng(seed)
+    row subsets, each against its R columns richest in A; the witness is
+    the first row subset at the largest count."""
+    rows = np.asarray(cells).tolist()
+    A = set(colors)
     best_count, best = 0, None
-    for _ in range(trials):
-        B1 = tuple(sorted(rng.choice(N, size=R, replace=False).tolist()))
-        B2 = tuple(sorted(rng.choice(N, size=R, replace=False).tolist()))
-        count = int(indicator[np.ix_(B1, B2)].sum())
+    for B1 in sampled_rows(len(rows), R, trials, seed):
+        count, B2 = richest_columns(rows, B1, R, lambda v: v in A)
         if count > best_count:
             best_count, best = count, (B1, B2)
     witness = best if best_count > bound else None

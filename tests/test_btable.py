@@ -39,20 +39,11 @@ def verify_both(table, spec):
     return verify_color_bound(table, spec), verify_shift_pair_bound(table, spec)
 
 
-def first_exhaustive(grid, K, S, most):
-    """One grid's first (B1, B2, label, count) with count > most, else None."""
-    hit = btable._first_violation(grid[None], K, S, most)[0]
+def first_hit(grid, K, S, most, rows=None):
+    """One grid's first (B1, B2, label, count) with count > most over the
+    row subsets ``rows`` (all of them by default), else None."""
+    hit = btable._first_violation(grid[None], K, S, most, rows)[0]
     return hit and (hit[0], btable._top_columns(grid, hit[0], hit[1], S), *hit[1:])
-
-
-def first_sampled(grid, K, S, most, trials, seed):
-    """The first sampled (B1, B2, label, count) with count > most, lowest
-    label first, else None."""
-    for B1, B2, counts in btable._sampled_rects(grid, K, S, trials, seed):
-        over = np.flatnonzero(counts > most)
-        if over.size:
-            return B1, B2, int(over[0]), int(counts[over[0]])
-    return None
 
 
 def random_table(n, m, seed):
@@ -251,7 +242,7 @@ class TestScanKernel:
         # violation deep in the scan; at the largest count the scan passes
         peak = max(int(t.max()) for _, t in btable._scan_blocks(grid[None], K, S))
         most = peak - data.draw(st.integers(0, 3), label="below_peak")
-        got = first_exhaustive(grid, K, S, most)
+        got = first_hit(grid, K, S, most)
         want = oracles.lex_exhaustive_scan(grid, K, S, lambda c: c > most)
         assert got == want
 
@@ -260,7 +251,7 @@ class TestScanKernel:
         # only the last S rows hold an all-one-label S x S rectangle
         grid = np.random.default_rng(K).integers(0, K, size=(16, 16))
         grid[16 - S:, 3:3 + S] = K - 1
-        got = first_exhaustive(grid, K, S, S * S - 1)
+        got = first_hit(grid, K, S, S * S - 1)
         assert got == oracles.lex_exhaustive_scan(
             grid, K, S, lambda c: c > S * S - 1
         )
@@ -338,11 +329,13 @@ class TestScanKernel:
         data=st.data(),
     )
     def test_sampled_same_first_witness_as_reference(self, seed, K, S, data):
+        # the same kernel as exhaustive mode, over the 40 drawn row subsets
         grid = np.random.default_rng(seed).integers(0, K, size=(16, 16))
-        rects = btable._sampled_rects(grid, K, S, 40, seed)
-        peak = max(int(counts.max()) for *_, counts in rects)
+        rows = lambda: btable._row_subsets(16, S, "sampled", 40, seed)
+        assert [tuple(r) for r in rows()] == list(oracles.sampled_rows(16, S, 40, seed))
+        peak = max(int(t.max()) for _, t in btable._scan_blocks(grid[None], K, S, rows()))
         most = peak - data.draw(st.integers(0, 3), label="below_peak")
-        got = first_sampled(grid, K, S, most, 40, seed)
+        got = first_hit(grid, K, S, most, rows())
         assert got == oracles.sampled_scan(grid, K, S, most, 40, seed)
 
     @settings(max_examples=20)
@@ -418,6 +411,88 @@ class TestScanKernel:
         count = oracles.shift_pair_count(t.cells.tolist(), B1, B2, a, b, i, j)
         assert count == r.count
         assert count * t.M**2 > 2 * spec.S**2
+
+
+class TestSampledMode:
+    """Sampled mode runs the exhaustive kernel over random row subsets, so
+    it can refute a bound, but never where exhaustive mode proves it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        m=st.integers(1, 2),
+        r=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_sound_against_exhaustive(self, n, m, r, seed, data):
+        N, M = 1 << n, 1 << m
+        S = data.draw(st.integers(1, N), label="S")
+        used = data.draw(st.integers(1, M), label="used")  # few colors: violations
+        cells = np.random.default_rng(seed).integers(0, used, size=(N, N))
+        t = Table(n, m, cells.astype(np.uint32))
+        spec = BalanceSpec(S, min(r, N))
+        trials = data.draw(st.integers(1, 30), label="trials")
+        rows = cells.tolist()
+        for verify, K in ((verify_color_bound, M), (verify_shift_pair_bound, M * M)):
+            sampled = verify(t, spec, "sampled", trials=trials, seed=seed)
+            if not sampled.ok:
+                count = (oracles.color_count if K == M else oracles.shift_pair_count)(
+                    rows, *sampled.witness
+                )
+                assert count == sampled.count and count * K > 2 * S * S
+            assert sampled.ok or not verify(t, spec).ok
+        delta = data.draw(st.sampled_from([0.25, 0.5, 0.75, 1.0]), label="delta")
+        A = sorted(set(data.draw(st.lists(st.integers(0, M - 1), min_size=1), label="A")))
+        R = math.ceil(2.0 ** (delta * n))
+        bound = condense.color_bound_fraction(len(A), M, delta, 0.25, 1) * R * R
+        exhaustive = condense.verify_balance(t, delta, 0.25, 1, A)
+        sampled = condense.verify_balance(t, delta, 0.25, 1, A, "sampled", trials=trials, seed=seed)
+        assert sampled.worst_ratio <= exhaustive.worst_ratio
+        assert sampled.ok or not exhaustive.ok
+        if not sampled.ok:
+            B1, B2 = sampled.witness
+            count = sum(oracles.color_count(rows, B1, B2, a) for a in A)
+            assert count / bound == sampled.worst_ratio > 1
+
+    def test_refutes_most_violating_tables(self):
+        # 34 of these 40 random n=4, m=1 tables break the pair bound at
+        # S=8, r=2; one random S x S rectangle a trial refuted 4 of them
+        violating = refuted = 0
+        for t in range(40):
+            cells = np.random.default_rng([99, 4, 1, 8, t]).integers(0, 2, (16, 16), dtype=np.uint32)
+            table = Table(4, 1, cells)
+            spec = BalanceSpec(8, 2)
+            exhaustive = verify_shift_pair_bound(table, spec)
+            sampled = verify_shift_pair_bound(table, spec, "sampled", trials=1000, seed=t)
+            assert sampled.ok or not exhaustive.ok
+            violating += not exhaustive.ok
+            refuted += not sampled.ok
+        assert violating == 34
+        assert refuted >= 25
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_block_over_limit_refused_before_allocating(self, mode):
+        # n=10, m=10, S=1: K = 2^20 pair labels on 2^10 columns would need
+        # one 2 GiB block of uint16 counts for a single row subset
+        t = random_table(10, 10, 3)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError, match=r"over the limit SCAN_BLOCK_LIMIT = 134217728"):
+                verify_shift_pair_bound(t, BalanceSpec(1, 2), mode, trials=5, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 2**20
+
+    def test_block_at_limit_still_scans(self, monkeypatch):
+        # T * K * N = 2 * 4 * 8 = 64 counts for one row subset
+        grids = np.zeros((2, 8, 8), dtype=np.int64)
+        monkeypatch.setattr(btable, "SCAN_BLOCK_LIMIT", 64)
+        assert btable._first_violation(grids, 4, 3, 8) == [((0, 1, 2), 0, 9)] * 2
+        monkeypatch.setattr(btable, "SCAN_BLOCK_LIMIT", 63)
+        with pytest.raises(ResourceError, match="needs 64 counts"):
+            btable._first_violation(grids, 4, 3, 8)
 
 
 class TestMarginalBound:
@@ -669,7 +744,7 @@ class TestSearch:
             search_table(2, 1, BalanceSpec(5, 1), trials=1, seed=0)
 
     def test_search_budget_message(self):
-        with pytest.raises(ResourceError, match="single-color verification needs 4900 subset pairs"):
+        with pytest.raises(ResourceError, match="table search needs 4900 subset pairs"):
             search_table(3, 1, SPEC34, "random", trials=3, seed=0, budget=4899)
 
     def test_random_search_reproducible(self):
@@ -737,15 +812,17 @@ class TestWideLabels:
     @pytest.mark.parametrize(
         "m,S,r,check,want",
         [
-            # recorded before the renumbering, when the scans counted all
-            # 4096 (m=12, single-color) or 256 (m=4, pair) labels
+            # exhaustive: recorded before the renumbering, when the scans
+            # counted all 4096 (m=12, single-color) or 256 (m=4, pair)
+            # labels; sampled: recorded when sampled mode began to check
+            # each random row subset against its richest columns
             (12, 2, 2, "single-color", {
                 "exhaustive": VerifyResult(False, ((0, 1), (0, 4), 263), 1),
-                "sampled": VerifyResult(False, ((0, 5), (1, 7), 734), 1),
+                "sampled": VerifyResult(False, ((0, 5), (0, 4), 263), 1),
             }),
             (4, 6, 3, "shifted-pair", {
                 "exhaustive": VerifyResult(False, ((0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 6), 0, 14, 1, 2), 1),
-                "sampled": VerifyResult(False, ((0, 1, 2, 4, 6, 7), (0, 1, 3, 4, 6, 7), 0, 14, 1, 2), 1),
+                "sampled": VerifyResult(False, ((0, 1, 2, 4, 6, 7), (0, 1, 2, 3, 4, 6), 0, 14, 1, 2), 1),
             }),
         ],
     )

@@ -799,6 +799,103 @@ class TestExitCodes:
         assert code == 2 and err.startswith("error: ")
 
 
+class TestSampledVerdicts:
+    """A sampled check that finds no violation says UNREFUTED, never OK:
+    random row subsets can refute a bound but not prove it."""
+
+    @pytest.fixture
+    def good_table(self, capsys, tmp_path):
+        # exhaustive verification proves this one at S=4, r=2
+        path = tmp_path / "good.ktb"
+        run(
+            capsys, "table", "search", "--n", "3", "--m", "1", "--S", "4",
+            "--shift-bound", "2", "--trials", "1000", "--seed", "2026",
+            "--out", str(path),
+        )
+        return str(path)
+
+    def test_table_verify(self, capsys, good_table):
+        check = ["table", "verify", "--table", good_table, "--S", "4", "--shift-bound", "2"]
+        assert run(capsys, *check) == (0, "OK\n", "")
+        code, out, err = run(capsys, *check, "--mode", "sampled", "--trials", "50", "--seed", "9")
+        assert (code, out, err) == (0, "seed 9\nUNREFUTED sampled trials=50\n", "")
+
+    def test_condense_verify(self, capsys, tmp_path):
+        path = tmp_path / "c4.ktb"
+        btable.write_table(condense.standin_table(4, 2), path)
+        check = ["condense", "verify", "--table", str(path), "--delta", "0.5",
+                 "--epsilon", "0.25", "--c", "1", "--colors", "0,1"]
+        assert run(capsys, *check) == (0, "OK worst_ratio=0.8\n", "")
+        code, out, _ = run(capsys, *check, "--mode", "sampled", "--trials", "30", "--seed", "4")
+        assert (code, out) == (0, "seed 4\nUNREFUTED sampled trials=30 worst_ratio>=0.7\n")
+
+    def test_closed_checks_still_unrefuted(self, capsys, good_table, tmp_path):
+        # the marginal certificate closes both pair checks of this n=4,
+        # m=1 table at S=12, r=2, and an infinite condense bound leaves
+        # nothing to count, yet a sampled run still proves nothing
+        path = tmp_path / "closed.ktb"
+        cells = np.random.default_rng(0).integers(0, 2, size=(16, 16), dtype=np.uint32)
+        btable.write_table(btable.Table(4, 1, cells), path)
+        code, out, _ = run(
+            capsys, "table", "verify", "--table", str(path), "--S", "12",
+            "--shift-bound", "2", "--mode", "sampled", "--seed", "2",
+        )
+        assert (code, out) == (0, "seed 2\nUNREFUTED sampled trials=1000\n")
+        code, out, _ = run(
+            capsys, "condense", "verify", "--table", good_table, "--delta", "1",
+            "--epsilon", "0.001", "--c", "4", "--mode", "sampled", "--seed", "2",
+        )
+        assert (code, out) == (0, "seed 2\nUNREFUTED sampled trials=1000 worst_ratio>=0\n")
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_refutes_the_n5_standin(self, capsys, tmp_path, seed):
+        # one random rectangle a trial printed OK here, with ratios 0.82-0.91
+        path = tmp_path / "c5.ktb"
+        btable.write_table(condense.standin_table(5, 2), path)
+        code, out, _ = run(
+            capsys, "condense", "verify", "--table", str(path), "--delta", "0.4",
+            "--epsilon", "0.25", "--c", "1", "--colors", "1", "--mode", "sampled",
+            "--seed", str(seed),
+        )
+        assert code == 1
+        assert out.splitlines()[1].startswith("VIOLATION worst_ratio=1.09445068294 B1=")
+
+    def test_n5_standin_exhaustive_agrees(self, capsys, tmp_path):
+        path = tmp_path / "c5.ktb"
+        btable.write_table(condense.standin_table(5, 2), path)
+        code, out, _ = run(
+            capsys, "condense", "verify", "--table", str(path), "--delta", "0.4",
+            "--epsilon", "0.25", "--c", "1", "--colors", "1", "--budget", "2000000000",
+        )
+        assert (code, out) == (1, "VIOLATION worst_ratio=1.09445068294 B1=1,4,10,27 B2=9,13,15,25\n")
+
+    def test_no_sampled_line_says_ok(self, capsys, tmp_path):
+        # passing and failing checks over a few tables, seeds and sizes
+        lines = []
+        for n, m, seed in ((3, 1, 0), (3, 2, 1), (4, 1, 2), (4, 2, 3)):
+            path = tmp_path / f"t{n}{m}{seed}.ktb"
+            cells = np.random.default_rng(seed).integers(0, 1 << m, (1 << n, 1 << n))
+            btable.write_table(btable.Table(n, m, cells.astype(np.uint32)), path)
+            for S, r in ((2, 1), (4, 2), (1 << n, 3)):
+                code, out, _ = run(
+                    capsys, "table", "verify", "--table", str(path), "--S", str(S),
+                    "--shift-bound", str(r), "--mode", "sampled", "--trials", "20",
+                    "--seed", str(seed),
+                )
+                assert code in (0, 1)
+                lines += out.splitlines()
+            for delta in ("0.5", "0.75", "1"):
+                code, out, _ = run(
+                    capsys, "condense", "verify", "--table", str(path), "--delta", delta,
+                    "--epsilon", "0.25", "--c", "1", "--colors", "0", "--mode", "sampled",
+                    "--trials", "20", "--seed", str(seed),
+                )
+                assert code in (0, 1)
+                lines += out.splitlines()
+        verdicts = [line.split()[0] for line in lines if not line.startswith("seed ")]
+        assert set(verdicts) == {"UNREFUTED", "VIOLATION"}
+
+
 class TestSeedReporting:
     def test_sampled_verify_draws_and_prints_seed(self, capsys, n4_table):
         path, _ = n4_table
