@@ -26,27 +26,32 @@ One driver, ``_verify``, runs both verifiers: it gates its inputs once
 or the pair budget when exhaustive) and returns the first violation of
 the checks ``_checks`` lists in verification order: the single-color
 grid (skipped for M <= 2, where count <= S^2 <= 2S^2/M), then each shift
-pair i != j in ``itertools.permutations`` order.  Before it scans a
+pair i != j in ``itertools.permutations`` order.  A run that walks every
+row subset skips the mirrored pairs (j, i) with j > i, whose grids are
+those of (i, j) with the color pairs swapped.  Before it scans a
 check, ``_verify`` tries a certificate: ``_marginal_bound`` bounds
 every label's count in every S x S rectangle from the label's
 counts per row and per column alone, and a check whose bound is at
 most its allowed count passes with no scan.  The answer is the OK the
 scan would give, so no output changes.  ``search_table`` walks the same
-list over stacks of candidate tables without the certificate: on random
-tables at n=3, m=1, S=4 and at n=4, m=1, S=6 it closes none of 400
-checks, so there it would only add cost.
+list, mirrored pairs skipped, over stacks of candidate tables without
+the certificate: on random tables at n=3, m=1, S=4 and at n=4, m=1,
+S=6 it closes none of 400 checks, so there it would only add cost.
 
 Both modes run one kernel, ``_scan_blocks``: per row subset B1 and
 label, the sum of the S largest per-column counts, exactly the maximum
 over all size-S column subsets.  The mode picks only the row subsets
 (``_row_subsets``): all of them in lexicographic order (exhaustive, a
-proof), or ``trials`` random ones keyed by the seed, or by [seed, i, j]
-for pair (i, j) (sampled, which can only refute).  A witness is B1, its
-richest columns (``_top_columns``) and its exact count.  The kernel
-scans a stack of T grids in blocks of row subsets that double up to
-SCAN_BLOCK_ENTRIES counts, and refuses a stack whose one row subset
-needs over SCAN_BLOCK_LIMIT; ``_first_violation`` drops each grid from
-the stack at its first violation.  The verifiers and ``condense`` scan
+proof, and sampled runs with trials >= C(N, S)), or ``trials`` random
+ones keyed by the seed, or by [seed, i, j] for pair (i, j) (sampled,
+which can only refute).  A witness is B1, its richest columns
+(``_top_columns``) and its exact count.  The kernel scans a stack of T
+grids in blocks of row subsets that double up to SCAN_BLOCK_ENTRIES
+counts, and refuses a stack whose one row subset needs over
+SCAN_BLOCK_LIMIT; ``_first_violation`` drops each grid from the stack
+at its first violation, and with fewer labels than columns it counts
+columns only for the row subsets where some label's total over the
+rows exceeds the allowed count.  The verifiers and ``condense`` scan
 one grid (T = 1).  ``search_table`` scans chunks of candidate tables
 that double from one table up to SCAN_BLOCK_ENTRIES cells (and one row
 subset's pair counts), so a chunk shares the cost of each block.
@@ -226,19 +231,36 @@ def _check_budget(N: int, S: int, budget: Optional[int], what: str) -> None:
         )
 
 
-def _scan_blocks(grids: np.ndarray, K: int, S: int, rows=None):
+def _scan_blocks(grids: np.ndarray, K: int, S: int, rows=None, most=None):
     """Yield (subsets, tops) for T stacked N x N grids over the sorted
     size-S row subsets ``rows`` (default: all, lexicographic), in blocks:
     subsets (B, S), tops (T, B, K) each grid's per-label sum of its S
     largest per-column counts over the subset's rows.  Sending back a
     (T,) boolean mask drops the grids it marks False from later blocks.
     A stack that needs over SCAN_BLOCK_LIMIT counts a row subset is
-    refused before anything is allocated."""
+    refused before anything is allocated.
+
+    Given ``most`` and K < N, a row subset whose every label total over
+    its rows is at most ``most`` is screened: its column counts are not
+    filled, and its tops are those totals, which bound the exact ones (a
+    label's S richest columns hold at most all of it) and are at most
+    ``most``.  So tops is exact wherever it exceeds ``most``.  Per-row
+    label counts cost T*N*K, at most one grid; at K >= N the totals
+    would cost what the counts they could skip cost, so there is no
+    screen."""
     T, N = grids.shape[:2]
     if T * K * N > SCAN_BLOCK_LIMIT:
         raise ResourceError(f"a scan block needs {T * K * N} counts for one row subset, "
                             f"over the limit SCAN_BLOCK_LIMIT = {SCAN_BLOCK_LIMIT}")
-    slots = grids.astype(np.intp) * N + np.arange(N)  # (t, x, y) -> label*N + y
+    slots = grids.astype(np.intp)  # a copy, in place from here on
+    lines = None
+    if most is not None and K < N:  # (t, x, label) -> the label's count on row x
+        offsets = K * np.arange(T * N).reshape(T, N, 1)
+        slots += offsets
+        lines = np.bincount(slots.ravel(), minlength=T * N * K).astype(np.uint16).reshape(T, N, K)
+        slots -= offsets
+    slots *= N
+    slots += np.arange(N)  # (t, x, y) -> label*N + y
     rows = itertools.combinations(range(N), S) if rows is None else iter(rows)
     size = 1
     while len(slots):
@@ -248,15 +270,29 @@ def _scan_blocks(grids: np.ndarray, K: int, S: int, rows=None):
         if not len(subsets):
             return
         T, B = len(slots), len(subsets)
-        counts = np.zeros((T, B, K, N), dtype=np.uint16)
+        if lines is None:  # count every (grid, subset)
+            shape, rows_at = (T, B), lambda p: slots[:, subsets[:, p]]
+        else:  # count only the (grid, subset) entries the totals leave open
+            rows_in = np.zeros((B, N), dtype=np.int64)
+            rows_in[np.arange(B).reshape(-1, 1), subsets] = 1
+            tops = rows_in @ lines  # (T, B, K) label totals over each subset's rows
+            t, b = np.nonzero((tops > most).any(axis=2))
+            shape, rows_at = (len(t),), lambda p: slots[t, subsets[b, p]]
+        counts = np.zeros((*shape, K, N), dtype=np.uint16)
         flat = counts.reshape(-1)
-        base = np.arange(T * B).reshape(T, B, 1) * (N * K)
+        base = np.arange(math.prod(shape)).reshape(*shape, 1) * (N * K)
         for p in range(S):  # one row per subset, so no index repeats
-            flat[base + slots[:, subsets[:, p]]] += 1
-        top = np.partition(counts, N - S, axis=3)[..., N - S:]
-        keep = yield subsets, top.sum(axis=3, dtype=np.int64)
+            flat[base + rows_at(p)] += 1
+        top = np.partition(counts, N - S, axis=-1)[..., N - S:].sum(axis=-1, dtype=np.int64)
+        if lines is None:
+            tops = top
+        else:
+            tops[t, b] = top
+        keep = yield subsets, tops
         if keep is not None:
             slots = slots[keep]
+            if lines is not None:
+                lines = lines[keep]
         size = min(2 * size, largest)
 
 
@@ -270,10 +306,12 @@ def _top_columns(grid, B1, label, S: int) -> tuple:
 def _first_violation(grids, K, S, most, rows=None) -> list:
     """Each grid's first (B1, label, count) with count > most in scan order
     (B1 in the order of ``rows``, lexicographic by default, then label),
-    else None; a grid leaves the scan at its first violation."""
+    else None; a grid leaves the scan at its first violation.  The kernel
+    screens row subsets by label totals against ``most``, which leaves
+    every count over it exact."""
     found = [None] * len(grids)
     live = np.arange(len(grids))
-    blocks = _scan_blocks(grids, K, S, rows)
+    blocks = _scan_blocks(grids, K, S, rows, most)
     keep = None
     try:
         while len(live):
@@ -352,12 +390,19 @@ def _check_mode(mode: str, trials: int, seed) -> None:
         raise ParameterError(f"seed must be >= 0, got {seed}")
 
 
+def _every_row(N: int, S: int, mode: str, trials: int) -> bool:
+    """Whether a check walks all C(N, S) row subsets: when exhaustive, and
+    when sampled with at least as many trials as there are subsets."""
+    return mode == "exhaustive" or trials >= math.comb(N, S)
+
+
 def _row_subsets(N: int, S: int, mode: str, trials: int, seed, pair=None):
     """The row subsets a check scans: None, the kernel's default of all of
-    them, when exhaustive; else ``trials`` sorted random ones, drawn lazily
-    as ``rng.choice(N, size=S, replace=False)`` from default_rng(seed), or
-    from default_rng([seed, i, j]) for the shift pair (i, j)."""
-    if mode == "exhaustive":
+    them in lexicographic order, when ``_every_row``; else ``trials``
+    sorted random ones, drawn lazily as ``rng.choice(N, size=S,
+    replace=False)`` from default_rng(seed), or from default_rng([seed,
+    i, j]) for the shift pair (i, j)."""
+    if _every_row(N, S, mode, trials):
         return None
     rng = np.random.default_rng(seed if pair is None or seed is None else [seed, *pair])
     return (sorted(rng.choice(N, size=S, replace=False).tolist()) for _ in range(trials))
@@ -384,12 +429,19 @@ def _compact(grids: np.ndarray, K: int):
     return inverse.reshape(grids.shape), len(labels), labels
 
 
-def _checks(M: int, spec: BalanceSpec, only: Optional[str] = None):
+def _checks(M: int, spec: BalanceSpec, only: Optional[str] = None, mirrored: bool = True):
     """Yield (condition, K, pair, most) per check in verification order: K
     labels, pair None for single-color, and most the largest count allowed
-    (count * K <= 2S^2, exact integers).  ``only`` keeps one condition."""
+    (count * K <= 2S^2, exact integers).  ``only`` keeps one condition.
+
+    The (j, i) grid is the (i, j) grid under the label bijection a*M + b
+    -> b*M + a, with the same K and most, and pairs come in permutations
+    order, so (j, i) with i < j follows (i, j).  A run that scans every
+    row subset and stops at its first violation can never find one at
+    (j, i): ``mirrored=False`` drops those pairs."""
     S = spec.S
-    pairs = itertools.permutations(range(1, spec.shift_bound + 1), 2)
+    order = itertools.permutations if mirrored else itertools.combinations
+    pairs = order(range(1, spec.shift_bound + 1), 2)
     # M <= 2 needs no single-color scan: count <= S^2 <= 2S^2/M
     checks = itertools.chain(
         [] if M <= 2 else [("single-color", M, None)],
@@ -409,7 +461,8 @@ def _verify(table, spec, condition, mode, trials, seed, budget) -> VerifyResult:
     _check_mode(mode, trials, seed)
     if mode == "exhaustive":
         _check_budget(N, S, budget, f"{condition} verification")
-    for _, K, pair, most in _checks(M, spec, condition):
+    every = _every_row(N, S, mode, trials)
+    for _, K, pair, most in _checks(M, spec, condition, mirrored=not every):
         grid = _labels(table.cells, M, pair)
         if _marginal_bound(grid, S) <= most:  # no rectangle can exceed most
             continue
@@ -467,7 +520,7 @@ def _first_misses(cells: np.ndarray, M: int, spec: BalanceSpec) -> list:
     S = spec.S
     misses = [None] * len(cells)
     live = list(range(len(cells)))
-    for condition, K, pair, most in _checks(M, spec):
+    for condition, K, pair, most in _checks(M, spec, mirrored=False):
         if not live:
             break
         grids, scan_K, _ = _compact(_labels(cells[live], M, pair), K)

@@ -266,7 +266,11 @@ def lex_balance_scan(cells, colors, R, bound):
 
 
 def sampled_rows(N, S, trials, seed):
-    """The row subsets a sampled check draws, in order."""
+    """The row subsets a sampled check draws, in order: all of them in
+    lexicographic order when trials reach their number."""
+    if trials >= math.comb(N, S):
+        yield from itertools.combinations(range(N), S)
+        return
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         yield tuple(sorted(int(x) for x in rng.choice(N, size=S, replace=False)))

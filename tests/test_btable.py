@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
 
@@ -312,6 +312,35 @@ class TestScanKernel:
         _, tops = blocks.send(np.array([False, True]))
         assert tops.shape == (1, 2, 2)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        N=st.sampled_from([8, 16]),
+        K=st.sampled_from([2, 4, 8, 16, 64]),
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
+        data=st.data(),
+    )
+    def test_screened_scan_matches_reference(self, N, K, seeds, data):
+        # K on both sides of N, S on both sides of N/2 (at most C(16, 4) =
+        # 1820 row subsets); grids with fewer labels resolve earlier, and
+        # a threshold under some grids' peaks leaves the others passing
+        S = data.draw(st.integers(1, N).filter(lambda S: math.comb(N, S) <= 1820), label="S")
+        grids = np.stack([
+            np.random.default_rng(s).integers(0, 1 + s % K, size=(N, N)) for s in seeds
+        ])
+        plain = list(btable._scan_blocks(grids, K, S))
+        peaks = [max(int(tops[t].max()) for _, tops in plain) for t in range(len(seeds))]
+        most = data.draw(st.sampled_from(peaks), label="peak") - data.draw(st.integers(0, 3), label="below")
+        want = [oracles.lex_exhaustive_scan(g, K, S, lambda c: c > most) for g in grids]
+        assert btable._first_violation(grids, K, S, most) == [w and (w[0], w[2], w[3]) for w in want]
+        # every entry over most is exact, and every other one is at most most
+        for (rows, exact), (got_rows, tops) in zip(plain, btable._scan_blocks(grids, K, S, None, most)):
+            assert np.array_equal(rows, got_rows)
+            over = exact > most
+            assert np.array_equal(tops > most, over) and np.array_equal(tops[over], exact[over])
+            assert (tops >= exact).all()
+            if K >= N:  # no screen: the kernel as without a threshold
+                assert np.array_equal(tops, exact)
+
     @pytest.mark.parametrize("S", range(1, 9))
     def test_two_colors_certified_without_scan(self, S):
         # M = 2: no rectangle can exceed 2/M of its cells
@@ -329,10 +358,13 @@ class TestScanKernel:
         data=st.data(),
     )
     def test_sampled_same_first_witness_as_reference(self, seed, K, S, data):
-        # the same kernel as exhaustive mode, over the 40 drawn row subsets
+        # the same kernel as exhaustive mode, over the 40 drawn row subsets,
+        # or over all 16 at S=1, where None asks the kernel for every one
         grid = np.random.default_rng(seed).integers(0, K, size=(16, 16))
         rows = lambda: btable._row_subsets(16, S, "sampled", 40, seed)
-        assert [tuple(r) for r in rows()] == list(oracles.sampled_rows(16, S, 40, seed))
+        assert (rows() is None) == (S == 1)
+        drawn = itertools.combinations(range(16), S) if S == 1 else rows()
+        assert [tuple(r) for r in drawn] == list(oracles.sampled_rows(16, S, 40, seed))
         peak = max(int(t.max()) for _, t in btable._scan_blocks(grid[None], K, S, rows()))
         most = peak - data.draw(st.integers(0, 3), label="below_peak")
         got = first_hit(grid, K, S, most, rows())
@@ -455,6 +487,22 @@ class TestSampledMode:
             count = sum(oracles.color_count(rows, B1, B2, a) for a in A)
             assert count / bound == sampled.worst_ratio > 1
 
+    @pytest.mark.parametrize("n,m,S,r", [(3, 1, 4, 2), (3, 2, 2, 3), (4, 1, 2, 4), (3, 2, 7, 3)])
+    def test_trials_past_the_subsets_walk_them_all(self, n, m, S, r):
+        # with trials >= C(N, S) a sampled run is the exhaustive scan, once
+        N = 1 << n
+        every = math.comb(N, S)
+        assert btable._row_subsets(N, S, "sampled", every, 1) is None
+        assert btable._row_subsets(N, S, "sampled", every - 1, 1) is not None
+        for seed in range(4):
+            t = random_table(n, m, seed)
+            spec = BalanceSpec(S, r)
+            for verify in (verify_color_bound, verify_shift_pair_bound):
+                assert verify(t, spec, "sampled", trials=every, seed=seed) == verify(t, spec)
+            for colors in ([0], [0, 1]):  # delta = 1/n: R = 2
+                check = lambda *mode, **kw: condense.verify_balance(t, 1 / n, 0.25, 1, colors, *mode, **kw)
+                assert check("sampled", trials=math.comb(N, 2), seed=seed) == check()
+
     def test_refutes_most_violating_tables(self):
         # 34 of these 40 random n=4, m=1 tables break the pair bound at
         # S=8, r=2; one random S x S rectangle a trial refuted 4 of them
@@ -493,6 +541,93 @@ class TestSampledMode:
         monkeypatch.setattr(btable, "SCAN_BLOCK_LIMIT", 63)
         with pytest.raises(ResourceError, match="needs 64 counts"):
             btable._first_violation(grids, 4, 3, 8)
+
+
+class TestMirroredPairs:
+    """The (j, i) pair grid is the (i, j) one with its color pairs swapped,
+    so a run that walks every row subset scans only pairs with i < j."""
+
+    @staticmethod
+    def grids_built(monkeypatch, verify):
+        built = []
+        labels = btable._labels
+        monkeypatch.setattr(btable, "_labels", lambda cells, M, pair: built.append(pair) or labels(cells, M, pair))
+        return verify(), built
+
+    def test_exhaustive_builds_half_the_pair_grids(self, monkeypatch):
+        # a passing n=4, m=1 table at S=10, r=3 reaches every check
+        table = search_table(4, 1, BalanceSpec(10, 3), "random", trials=1, seed=0)
+        assert isinstance(table, Table)
+        spec = BalanceSpec(10, 3)
+        got, built = self.grids_built(monkeypatch, lambda: verify_shift_pair_bound(table, spec))
+        assert got.ok and built == [(1, 2), (1, 3), (2, 3)]
+        # sampled mode keys each pair's row subsets by [seed, i, j]
+        got, built = self.grids_built(
+            monkeypatch, lambda: verify_shift_pair_bound(table, spec, "sampled", seed=1)
+        )
+        assert got.ok and built == list(itertools.permutations(range(1, 4), 2))
+        # unless its trials reach C(16, 10) = 8008: then it walks them all
+        got, built = self.grids_built(
+            monkeypatch, lambda: verify_shift_pair_bound(table, spec, "sampled", trials=8008, seed=1)
+        )
+        assert got.ok and built == [(1, 2), (1, 3), (2, 3)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        m=st.integers(1, 2),
+        r=st.integers(1, 4),
+        S=st.integers(1, 8),
+        used=st.integers(1, 4),  # few colors: violations
+        flipped=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # first violations at pairs (1, 3) and (1, 4)
+    @example(n=2, m=1, r=4, S=2, used=1, flipped=True, seed=0)
+    @example(n=2, m=2, r=4, S=4, used=3, flipped=False, seed=0)
+    @example(n=3, m=2, r=4, S=8, used=4, flipped=False, seed=4)
+    def test_same_verdicts_as_naive_loops(self, n, m, r, S, used, flipped, seed):
+        N, M = 1 << n, 1 << m
+        assume(S <= N and math.comb(N, S) <= 56 and used <= M)
+        cells = np.random.default_rng(seed).integers(0, used, size=(N, N)).astype(np.uint32)
+        if flipped:  # row x + 2 is row x with the low color bit flipped
+            x = np.arange(N)
+            cells = cells[x % 2] ^ (x // 2 % 2).astype(np.uint32)[:, None]
+        spec = BalanceSpec(S, min(r, N))
+        got = verify_shift_pair_bound(Table(n, m, cells), spec)
+        rows = cells.tolist()
+        ok, witness, _ = oracles.naive_shift_pair_verdict(rows, S, M, spec.shift_bound)
+        assert got.ok == ok
+        if not ok:  # the same pair and B1; the richest columns from the dict scan
+            B1, _, _, _, i, j = witness
+            paired = [[rows[(x + i) % N][y] * M + rows[(x + j) % N][y] for y in range(N)] for x in range(N)]
+            B1, B2, label, count = oracles.dict_first_violation(paired, S, 2 * S * S // (M * M))
+            assert B1 == witness[0]
+            assert got == VerifyResult(False, (B1, B2, label // M, label % M, i, j), count)
+
+    @pytest.mark.parametrize("n,m,S,trials", [(2, 1, 2, 40), (3, 1, 4, 60), (3, 2, 2, 20), (4, 1, 8, 20)])
+    def test_search_at_three_shifts_matches_per_trial_loop(self, n, m, S, trials):
+        spec = BalanceSpec(S, 3)
+        assert_same_search(
+            search_table(n, m, spec, "random", trials=trials, seed=11),
+            oracles.per_trial_search(n, m, spec, "random", trials=trials, seed=11),
+        )
+
+    def test_memory_bounded_for_wide_pair_labels(self):
+        # n=8, m=8: 65536 pair labels on 256 columns, so no label-total
+        # screen, whose per-row counts alone would hold N * K = 2^24
+        # entries, as many as the pair grid
+        t = random_table(8, 8, 11)
+        tracemalloc.start()
+        try:
+            r = verify_shift_pair_bound(t, BalanceSpec(S=1, shift_bound=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 70 * 2**20
+        B1, B2, a, b, i, j = r.witness
+        assert (i, j) == (1, 2) and r.count == 1
+        assert oracles.shift_pair_count(t.cells.tolist(), B1, B2, a, b, i, j) == 1
 
 
 class TestMarginalBound:
