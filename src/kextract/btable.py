@@ -26,17 +26,17 @@ One driver, ``_verify``, runs both verifiers: it gates its inputs once
 or the pair budget when exhaustive) and returns the first violation of
 the checks ``_checks`` lists in verification order: the single-color
 grid (skipped for M <= 2, where count <= S^2 <= 2S^2/M), then each shift
-pair i != j in ``itertools.permutations`` order.  A run that walks every
-row subset skips the mirrored pairs (j, i) with j > i, whose grids are
-those of (i, j) with the color pairs swapped.  Before it scans a
-check, ``_verify`` tries a certificate: ``_marginal_bound`` bounds
-every label's count in every S x S rectangle from the label's
-counts per row and per column alone, and a check whose bound is at
-most its allowed count passes with no scan.  The answer is the OK the
-scan would give, so no output changes.  ``search_table`` walks the same
-list, mirrored pairs skipped, over stacks of candidate tables without
-the certificate: on random tables at n=3, m=1, S=4 and at n=4, m=1,
-S=6 it closes none of 400 checks, so there it would only add cost.
+pair i != j in ``itertools.permutations`` order, or only (1, 2)..(1, r),
+one pair per difference, in a run that walks every row subset: a row
+rotation and a color swap turn the (1, 1 + |j - i|) grid into the (i, j)
+one.  Before it scans a check, ``_verify`` tries a certificate:
+``_marginal_bound`` bounds every label's count in every S x S rectangle
+from the label's counts per row and per column alone, and a check whose
+bound is at most its allowed count passes with no scan.  The answer is
+the OK the scan would give, so no output changes.  ``search_table``
+walks the same list over stacks of candidate tables without the
+certificate: on random tables at n=3, m=1, S=4 and at n=4, m=1, S=6
+it closes none of 400 checks, so there it would only add cost.
 
 Both modes run one kernel, ``_scan_blocks``: per row subset B1 and
 label, the sum of the S largest per-column counts, exactly the maximum
@@ -429,19 +429,19 @@ def _compact(grids: np.ndarray, K: int):
     return inverse.reshape(grids.shape), len(labels), labels
 
 
-def _checks(M: int, spec: BalanceSpec, only: Optional[str] = None, mirrored: bool = True):
+def _checks(M: int, spec: BalanceSpec, only: Optional[str] = None, every_row: bool = False):
     """Yield (condition, K, pair, most) per check in verification order: K
     labels, pair None for single-color, and most the largest count allowed
     (count * K <= 2S^2, exact integers).  ``only`` keeps one condition.
 
-    The (j, i) grid is the (i, j) grid under the label bijection a*M + b
-    -> b*M + a, with the same K and most, and pairs come in permutations
-    order, so (j, i) with i < j follows (i, j).  A run that scans every
-    row subset and stops at its first violation can never find one at
-    (j, i): ``mirrored=False`` drops those pairs."""
-    S = spec.S
-    order = itertools.permutations if mirrored else itertools.combinations
-    pairs = order(range(1, spec.shift_bound + 1), 2)
+    The (i + 1, j + 1) grid is the (i, j) grid with its rows rotated up by
+    one, which permutes the size-S row subsets, and the (j, i) grid is the
+    (i, j) one under the label bijection a*M + b -> b*M + a (same K, most).
+    So every pair's largest count is that of (1, 1 + |j - i|), which comes
+    first in permutations order: a run that scans every row subset to its
+    first violation finds it at some (1, j), and ``every_row`` keeps those."""
+    S, r = spec.S, spec.shift_bound
+    pairs = ((1, j) for j in range(2, r + 1)) if every_row else itertools.permutations(range(1, r + 1), 2)
     # M <= 2 needs no single-color scan: count <= S^2 <= 2S^2/M
     checks = itertools.chain(
         [] if M <= 2 else [("single-color", M, None)],
@@ -461,8 +461,7 @@ def _verify(table, spec, condition, mode, trials, seed, budget) -> VerifyResult:
     _check_mode(mode, trials, seed)
     if mode == "exhaustive":
         _check_budget(N, S, budget, f"{condition} verification")
-    every = _every_row(N, S, mode, trials)
-    for _, K, pair, most in _checks(M, spec, condition, mirrored=not every):
+    for _, K, pair, most in _checks(M, spec, condition, _every_row(N, S, mode, trials)):
         grid = _labels(table.cells, M, pair)
         if _marginal_bound(grid, S) <= most:  # no rectangle can exceed most
             continue
@@ -516,11 +515,12 @@ def verify_shift_pair_bound(
 
 def _first_misses(cells: np.ndarray, M: int, spec: BalanceSpec) -> list:
     """Each stacked table's (count/bound ratio, condition) at its first
-    violation in the verifiers' check order, else None: it passes."""
+    violation in check order, else None (it passes); every row subset is
+    scanned, so the pair checks are (1, 2)..(1, r) (``_checks``)."""
     S = spec.S
     misses = [None] * len(cells)
     live = list(range(len(cells)))
-    for condition, K, pair, most in _checks(M, spec, mirrored=False):
+    for condition, K, pair, most in _checks(M, spec, every_row=True):
         if not live:
             break
         grids, scan_K, _ = _compact(_labels(cells[live], M, pair), K)

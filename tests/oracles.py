@@ -151,6 +151,25 @@ def dict_first_violation(grid, S, most):
     return None
 
 
+def naive_first_miss(cells, S, M, shift_bound):
+    """(count/bound ratio, condition) at a table's first violation, else
+    None: the condition, pair and B1 from the nested-loop verdicts over
+    every ordered pair, the count from a dict scan of that one grid."""
+    N = len(cells)
+    ok, witness, _ = naive_color_verdict(cells, S, M)
+    K, grid, condition = M, cells, "single-color"
+    if ok:
+        ok, witness, _ = naive_shift_pair_verdict(cells, S, M, shift_bound)
+        if ok:
+            return None
+        i, j = witness[4:]
+        K, condition = M * M, "shifted-pair"
+        grid = [[cells[(x + i) % N][y] * M + cells[(x + j) % N][y] for y in range(N)] for x in range(N)]
+    B1, _, _, count = dict_first_violation(grid, S, 2 * S * S // K)
+    assert B1 == witness[0]
+    return count * K / (2 * S * S), condition
+
+
 def _allsizes_grid_ok(grid: np.ndarray, K: int, S: int, mult: int) -> bool:
     """Every rectangle with both sides >= S satisfies count * mult <= 2*s1*s2.
 

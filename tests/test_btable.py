@@ -422,6 +422,8 @@ class TestScanKernel:
             ("shifted-pair", 16, p, 1) for p in pairs
         ]
         assert list(btable._checks(2, spec)) == [("shifted-pair", 4, p, 4) for p in pairs]
+        # one pair per difference, the first of each in permutations order
+        assert list(btable._checks(2, spec, every_row=True)) == [("shifted-pair", 4, p, 4) for p in pairs[:2]]
         assert list(btable._checks(4, spec, "single-color")) == [color]
         assert list(btable._checks(2, spec, "single-color")) == []
         assert list(btable._checks(8, BalanceSpec(3, 1), "shifted-pair")) == []
@@ -543,34 +545,62 @@ class TestSampledMode:
             btable._first_violation(grids, 4, 3, 8)
 
 
-class TestMirroredPairs:
-    """The (j, i) pair grid is the (i, j) one with its color pairs swapped,
-    so a run that walks every row subset scans only pairs with i < j."""
+def few_color_cells(N, used, flipped, seed):
+    """Random N x N cells in colors 0..used-1; flipped makes row x + 2 row
+    x with the low color bit flipped, so a pair check at difference 2
+    sees each color only next to its flip."""
+    cells = np.random.default_rng(seed).integers(0, used, size=(N, N)).astype(np.uint32)
+    if flipped:
+        x = np.arange(N)
+        cells = cells[x % 2] ^ (x // 2 % 2).astype(np.uint32)[:, None]
+    return cells
 
-    @staticmethod
-    def grids_built(monkeypatch, verify):
+
+class TestDifferenceClasses:
+    """The (i + 1, j + 1) pair grid is the (i, j) one with its rows rotated
+    by one, and the (j, i) grid is the (i, j) one with its color pairs
+    swapped, so a run that walks every row subset scans one pair per
+    difference, (1, 2)..(1, r)."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The pairs whose grids ``_labels`` builds, in order."""
         built = []
         labels = btable._labels
         monkeypatch.setattr(btable, "_labels", lambda cells, M, pair: built.append(pair) or labels(cells, M, pair))
-        return verify(), built
+        return built
 
-    def test_exhaustive_builds_half_the_pair_grids(self, monkeypatch):
-        # a passing n=4, m=1 table at S=10, r=3 reaches every check
-        table = search_table(4, 1, BalanceSpec(10, 3), "random", trials=1, seed=0)
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 3), m=st.integers(1, 2), r=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+    def test_pair_grids_rotate_and_swap(self, n, m, r, seed):
+        N, M = 1 << n, 1 << m
+        cells = np.random.default_rng(seed).integers(0, M, size=(N, N)).astype(np.uint32)
+        for i, j in itertools.permutations(range(1, r + 1), 2):
+            grid = btable._labels(cells, M, (i, j))
+            assert np.array_equal(btable._labels(cells, M, (i + 1, j + 1)), np.roll(grid, -1, axis=0))
+            assert np.array_equal(btable._labels(cells, M, (j, i)), grid % M * M + grid // M)
+
+    def test_every_row_runs_build_one_grid_per_difference(self, built):
+        # a passing n=4, m=1 table at S=10, r=4 reaches every check
+        table = search_table(4, 1, BalanceSpec(10, 4), "random", trials=1, seed=0)
         assert isinstance(table, Table)
-        spec = BalanceSpec(10, 3)
-        got, built = self.grids_built(monkeypatch, lambda: verify_shift_pair_bound(table, spec))
-        assert got.ok and built == [(1, 2), (1, 3), (2, 3)]
-        # sampled mode keys each pair's row subsets by [seed, i, j]
-        got, built = self.grids_built(
-            monkeypatch, lambda: verify_shift_pair_bound(table, spec, "sampled", seed=1)
-        )
-        assert got.ok and built == list(itertools.permutations(range(1, 4), 2))
-        # unless its trials reach C(16, 10) = 8008: then it walks them all
-        got, built = self.grids_built(
-            monkeypatch, lambda: verify_shift_pair_bound(table, spec, "sampled", trials=8008, seed=1)
-        )
-        assert got.ok and built == [(1, 2), (1, 3), (2, 3)]
+        for r in (3, 4):
+            spec = BalanceSpec(10, r)
+            firsts = [(1, j) for j in range(2, r + 1)]
+            for kw, want in (
+                ({}, firsts),
+                # sampled mode keys each pair's row subsets by [seed, i, j]
+                ({"mode": "sampled", "seed": 1}, list(itertools.permutations(range(1, r + 1), 2))),
+                # unless its trials reach C(16, 10) = 8008: then it walks them all
+                ({"mode": "sampled", "trials": 8008, "seed": 1}, firsts),
+            ):
+                built.clear()
+                assert verify_shift_pair_bound(table, spec, **kw).ok and built == want
+
+    def test_search_builds_one_grid_per_difference(self, built):
+        # trial 2 passes, so some chunk reaches every check
+        hit = search_table(3, 1, BalanceSpec(6, 4), "random", trials=200, seed=0)
+        assert hit_trial(hit) == 2 and set(built) == {(1, 2), (1, 3), (1, 4)}
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -589,10 +619,7 @@ class TestMirroredPairs:
     def test_same_verdicts_as_naive_loops(self, n, m, r, S, used, flipped, seed):
         N, M = 1 << n, 1 << m
         assume(S <= N and math.comb(N, S) <= 56 and used <= M)
-        cells = np.random.default_rng(seed).integers(0, used, size=(N, N)).astype(np.uint32)
-        if flipped:  # row x + 2 is row x with the low color bit flipped
-            x = np.arange(N)
-            cells = cells[x % 2] ^ (x // 2 % 2).astype(np.uint32)[:, None]
+        cells = few_color_cells(N, used, flipped, seed)
         spec = BalanceSpec(S, min(r, N))
         got = verify_shift_pair_bound(Table(n, m, cells), spec)
         rows = cells.tolist()
@@ -604,6 +631,28 @@ class TestMirroredPairs:
             B1, B2, label, count = oracles.dict_first_violation(paired, S, 2 * S * S // (M * M))
             assert B1 == witness[0]
             assert got == VerifyResult(False, (B1, B2, label // M, label % M, i, j), count)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        m=st.integers(1, 2),
+        r=st.integers(1, 4),
+        S=st.integers(1, 8),
+        used=st.lists(st.integers(1, 4), min_size=1, max_size=3),  # per table
+        flipped=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # first violations at (1, 3) twice, and at (1, 4) around a pass
+    @example(n=2, m=1, r=4, S=2, used=[2, 1], flipped=True, seed=0)
+    @example(n=3, m=2, r=4, S=8, used=[4, 4, 4], flipped=False, seed=4)
+    def test_search_misses_match_naive_loops(self, n, m, r, S, used, flipped, seed):
+        # the oracle walks every ordered pair, so it shares no pair rule
+        N, M = 1 << n, 1 << m
+        assume(S <= N and math.comb(N, S) <= 28 and max(used) <= M)
+        cells = np.array([few_color_cells(N, u, flipped, seed + k) for k, u in enumerate(used)])
+        spec = BalanceSpec(S, min(r, N))
+        want = [oracles.naive_first_miss(t.tolist(), S, M, spec.shift_bound) for t in cells]
+        assert btable._first_misses(cells, M, spec) == want
 
     @pytest.mark.parametrize("n,m,S,trials", [(2, 1, 2, 40), (3, 1, 4, 60), (3, 2, 2, 20), (4, 1, 8, 20)])
     def test_search_at_three_shifts_matches_per_trial_loop(self, n, m, S, trials):

@@ -28,3 +28,28 @@ def test_script_runs(script, args):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.strip().splitlines()
     assert lines and lines[-1].strip()
+
+
+def compare_checkouts(a, b, points):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "compare_checkouts.py"), str(a), str(b), "--points", str(points)],
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_compare_checkouts_same_tree_has_no_differences():
+    proc = compare_checkouts(ROOT, ROOT, 6)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == ["22 commands (16 README, 6 seeded), 0 differences"]
+
+
+def test_compare_checkouts_reports_differences(tmp_path):
+    # a checkout whose CLI echoes its arguments differs on every command
+    package = tmp_path / "src" / "kextract"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text("def main(argv):\n    print(*argv)\n    return 0\n")
+    proc = compare_checkouts(ROOT, tmp_path, 0)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1].startswith("16 commands (16 README, 0 seeded), ")
+    assert "extend 05 03 --count 1\n  stdout: '06\\n'\n" in proc.stdout
