@@ -8,10 +8,12 @@ The script then reports every command whose stdout, stderr, exit code
 or written file bytes differ between the two, and exits 1 if any do.
 
 The list is the README command matrix, then seeded points taken in turn
-from three kinds: exhaustive and sampled ``table verify`` (trials below
-and at least C(N, S)) at n = 2..4 and shift bounds 2..4, random and
-exhaustive ``table search``, and ``condense verify``.  The script writes
-every input file itself, so both children read the same bytes.
+from three kinds: ``table verify`` at n = 2..4 and shift bounds 2..4,
+exhaustive (at the default budget, and at ``--budget 1``, which refuses
+every check that the row and column bound leaves open) and sampled
+(trials below and at least C(N, S)), random and exhaustive ``table
+search``, and ``condense verify``.  The script writes every input file
+itself, so both children read the same bytes.
 
 Example:
     python scripts/compare_checkouts.py ../parent .
@@ -68,7 +70,7 @@ def _points() -> list:
         every = math.comb(1 << n, S)
         for r in range(2, 5):
             base = f"table verify --table t{k}.ktb --S {S} --shift-bound {r}"
-            verify += [base, f"{base} --mode sampled --trials 7 --seed {r}",
+            verify += [base, f"{base} --budget 1", f"{base} --mode sampled --trials 7 --seed {r}",
                        f"{base} --mode sampled --trials {every} --seed {r}"]
         cbase = f"condense verify --table t{k}.ktb --delta 0.5 --epsilon 0.25 --c 1"
         condense.append(f"{cbase} --colors 0" if k % 2 else f"{cbase} --mode sampled --trials 9 --seed {k}")

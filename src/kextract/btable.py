@@ -22,36 +22,34 @@ is 2/M, not 2/M^2; including it would make the property unsatisfiable
 for every table as soon as M >= 2.
 
 One driver, ``_verify``, runs both verifiers: it gates its inputs once
-(``BalanceSpec.check_fits``, the mode, then trials and seed when sampled
-or the pair budget when exhaustive) and returns the first violation of
-the checks ``_checks`` lists in verification order: the single-color
-grid (skipped for M <= 2, where count <= S^2 <= 2S^2/M), then each shift
-pair i != j in ``itertools.permutations`` order, or only (1, 2)..(1, r),
-one pair per difference, in a run that walks every row subset: a row
+(``BalanceSpec.check_fits``, then the mode, trials and seed) and returns
+the first violation of the checks ``_checks`` lists in verification
+order: the single-color grid (skipped for M <= 2, where count <= S^2 <=
+2S^2/M), then the shift pairs (1, 2)..(1, r), one per difference: a row
 rotation and a color swap turn the (1, 1 + |j - i|) grid into the (i, j)
-one.  Before it scans a check, ``_verify`` tries a certificate:
+one.  Each check runs one plan in both modes: certificate, budget, scan.
 ``_marginal_bound`` bounds every label's count in every S x S rectangle
-from the label's counts per row and per column alone, and a check whose
-bound is at most its allowed count passes with no scan.  The answer is
-the OK the scan would give, so no output changes.  ``search_table``
-walks the same list over stacks of candidate tables without the
-certificate: on random tables at n=3, m=1, S=4 and at n=4, m=1, S=6
+from the label's counts per row and per column alone; a check whose
+bound is at most its allowed count passes with no scan, and only the
+checks it leaves open meet the budget.  ``search_table`` walks the same
+list over stacks of candidate tables, behind one budget gate and without
+the certificate: on random tables at n=3, m=1, S=4 and at n=4, m=1, S=6
 it closes none of 400 checks, so there it would only add cost.
 
 Both modes run one kernel, ``_scan_blocks``: per row subset B1 and
 label, the sum of the S largest per-column counts, exactly the maximum
 over all size-S column subsets.  The mode picks only the row subsets
-(``_row_subsets``): all of them in lexicographic order (exhaustive, a
-proof, and sampled runs with trials >= C(N, S)), or ``trials`` random
-ones keyed by the seed, or by [seed, i, j] for pair (i, j) (sampled,
-which can only refute).  A witness is B1, its richest columns
-(``_top_columns``) and its exact count.  The kernel scans a stack of T
-grids in blocks of row subsets that double up to SCAN_BLOCK_ENTRIES
-counts, and refuses a stack whose one row subset needs over
-SCAN_BLOCK_LIMIT; ``_first_violation`` drops each grid from the stack
-at its first violation, and with fewer labels than columns it counts
-columns only for the row subsets where some label's total over the
-rows exceeds the allowed count.  The verifiers and ``condense`` scan
+(``_row_subsets``, which holds the budget): all of them in lexicographic
+order (exhaustive, a proof, and sampled runs with trials >= C(N, S)), or
+``trials`` random ones keyed by the seed, or by [seed, i, j] for pair
+(i, j) (sampled, which can only refute).  A witness is B1, its richest
+columns (``_top_columns``) and its exact count.  The kernel scans a
+stack of T grids in blocks of row subsets that double up to
+SCAN_BLOCK_ENTRIES counts, and refuses a stack whose one row subset
+needs over SCAN_BLOCK_LIMIT; ``_first_violation`` drops each grid from
+the stack at its first violation, and with fewer labels than columns it
+counts columns only for the row subsets where some label's total over
+the rows exceeds the allowed count.  The verifiers and ``condense`` scan
 one grid (T = 1).  ``search_table`` scans chunks of candidate tables
 that double from one table up to SCAN_BLOCK_ENTRIES cells (and one row
 subset's pair counts), so a chunk shares the cost of each block.
@@ -283,7 +281,8 @@ def _scan_blocks(grids: np.ndarray, K: int, S: int, rows=None, most=None):
         base = np.arange(math.prod(shape)).reshape(*shape, 1) * (N * K)
         for p in range(S):  # one row per subset, so no index repeats
             flat[base + rows_at(p)] += 1
-        top = np.partition(counts, N - S, axis=-1)[..., N - S:].sum(axis=-1, dtype=np.int64)
+        counts.partition(N - S, axis=-1)  # in place: np.partition would copy the block
+        top = counts[..., N - S:].sum(axis=-1, dtype=np.int64)
         if lines is None:
             tops = top
         else:
@@ -390,22 +389,20 @@ def _check_mode(mode: str, trials: int, seed) -> None:
         raise ParameterError(f"seed must be >= 0, got {seed}")
 
 
-def _every_row(N: int, S: int, mode: str, trials: int) -> bool:
-    """Whether a check walks all C(N, S) row subsets: when exhaustive, and
-    when sampled with at least as many trials as there are subsets."""
-    return mode == "exhaustive" or trials >= math.comb(N, S)
-
-
-def _row_subsets(N: int, S: int, mode: str, trials: int, seed, pair=None):
+def _row_subsets(N: int, S: int, mode: str, trials: int, seed, budget, what: str, pair=None):
     """The row subsets a check scans: None, the kernel's default of all of
-    them in lexicographic order, when ``_every_row``; else ``trials``
-    sorted random ones, drawn lazily as ``rng.choice(N, size=S,
-    replace=False)`` from default_rng(seed), or from default_rng([seed,
-    i, j]) for the shift pair (i, j)."""
-    if _every_row(N, S, mode, trials):
-        return None
-    rng = np.random.default_rng(seed if pair is None or seed is None else [seed, *pair])
-    return (sorted(rng.choice(N, size=S, replace=False).tolist()) for _ in range(trials))
+    them in lexicographic order, when exhaustive (refused by
+    ``_check_budget`` as ``what`` past ``budget`` subset pairs) or when
+    sampled with trials >= C(N, S); else ``trials`` sorted random ones,
+    drawn lazily as ``rng.choice(N, size=S, replace=False)`` from
+    default_rng(seed), or from default_rng([seed, i, j]) for the shift
+    pair (i, j)."""
+    if mode == "exhaustive":
+        _check_budget(N, S, budget, what)
+    elif trials < math.comb(N, S):
+        rng = np.random.default_rng(seed if pair is None or seed is None else [seed, *pair])
+        return (sorted(rng.choice(N, size=S, replace=False).tolist()) for _ in range(trials))
+    return None
 
 
 def _labels(cells: np.ndarray, M: int, pair) -> np.ndarray:
@@ -429,23 +426,22 @@ def _compact(grids: np.ndarray, K: int):
     return inverse.reshape(grids.shape), len(labels), labels
 
 
-def _checks(M: int, spec: BalanceSpec, only: Optional[str] = None, every_row: bool = False):
+def _checks(M: int, spec: BalanceSpec, only: Optional[str] = None):
     """Yield (condition, K, pair, most) per check in verification order: K
     labels, pair None for single-color, and most the largest count allowed
     (count * K <= 2S^2, exact integers).  ``only`` keeps one condition.
 
-    The (i + 1, j + 1) grid is the (i, j) grid with its rows rotated up by
-    one, which permutes the size-S row subsets, and the (j, i) grid is the
-    (i, j) one under the label bijection a*M + b -> b*M + a (same K, most).
-    So every pair's largest count is that of (1, 1 + |j - i|), which comes
-    first in permutations order: a run that scans every row subset to its
-    first violation finds it at some (1, j), and ``every_row`` keeps those."""
+    The pair checks are (1, 2)..(1, r): the (i + 1, j + 1) grid is the
+    (i, j) grid with its rows rotated up by one, which permutes the size-S
+    row subsets, and the (j, i) grid is the (i, j) one under the label
+    bijection a*M + b -> b*M + a (same K, most).  So every pair's largest
+    count is that of (1, 1 + |j - i|), and sampling the other pairs would
+    only draw more row subsets, whose number ``trials`` sets."""
     S, r = spec.S, spec.shift_bound
-    pairs = ((1, j) for j in range(2, r + 1)) if every_row else itertools.permutations(range(1, r + 1), 2)
     # M <= 2 needs no single-color scan: count <= S^2 <= 2S^2/M
     checks = itertools.chain(
         [] if M <= 2 else [("single-color", M, None)],
-        (("shifted-pair", M * M, p) for p in pairs),
+        (("shifted-pair", M * M, (1, j)) for j in range(2, r + 1)),
     )
     for condition, K, pair in checks:
         if only in (None, condition):
@@ -454,19 +450,18 @@ def _checks(M: int, spec: BalanceSpec, only: Optional[str] = None, every_row: bo
 
 def _verify(table, spec, condition, mode, trials, seed, budget) -> VerifyResult:
     """The balance-check driver behind both verifiers: gate the inputs,
-    then run ``condition``'s checks in order to the first violation.  The
+    then run ``condition``'s checks in order to the first violation, each
+    as one plan: the certificate, then the budget, then the scan.  The
     mode picks only the row subsets each check's scan walks."""
     S, N, M = spec.S, table.N, table.M
     spec.check_fits(N)
     _check_mode(mode, trials, seed)
-    if mode == "exhaustive":
-        _check_budget(N, S, budget, f"{condition} verification")
-    for _, K, pair, most in _checks(M, spec, condition, _every_row(N, S, mode, trials)):
+    for _, K, pair, most in _checks(M, spec, condition):
         grid = _labels(table.cells, M, pair)
         if _marginal_bound(grid, S) <= most:  # no rectangle can exceed most
             continue
+        rows = _row_subsets(N, S, mode, trials, seed, budget, f"{condition} verification", pair)
         grid, K, labels = _compact(grid, K)
-        rows = _row_subsets(N, S, mode, trials, seed, pair)
         first = _first_violation(grid[None], K, S, most, rows)[0]
         if first is not None:
             B1, label, count = first
@@ -506,9 +501,11 @@ def verify_shift_pair_bound(
 ) -> VerifyResult:
     """Check the shifted-pair bound: count <= (2/M^2) * S^2 per rectangle.
 
-    Scans shift pairs (i, j) over [1..shift_bound]^2 with i != j (see the
-    module docstring for why the diagonal carries no pair events); sampled
-    mode keys each pair's random row subsets by [seed, i, j].
+    Bounds every shift pair (i, j) over [1..shift_bound]^2 with i != j
+    (see the module docstring for why the diagonal carries no pair
+    events) by checking (1, 2)..(1, shift_bound), one pair per difference
+    (``_checks``); sampled mode keys each pair's random row subsets by
+    [seed, 1, j].
     """
     return _verify(table, spec, "shifted-pair", mode, trials, seed, budget)
 
@@ -516,11 +513,11 @@ def verify_shift_pair_bound(
 def _first_misses(cells: np.ndarray, M: int, spec: BalanceSpec) -> list:
     """Each stacked table's (count/bound ratio, condition) at its first
     violation in check order, else None (it passes); every row subset is
-    scanned, so the pair checks are (1, 2)..(1, r) (``_checks``)."""
+    scanned."""
     S = spec.S
     misses = [None] * len(cells)
     live = list(range(len(cells)))
-    for condition, K, pair, most in _checks(M, spec, every_row=True):
+    for condition, K, pair, most in _checks(M, spec):
         if not live:
             break
         grids, scan_K, _ = _compact(_labels(cells[live], M, pair), K)

@@ -29,7 +29,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import btable, stats
-from .btable import Table, _ceil_log2, _check_budget, _check_dims
+from .btable import Table, _ceil_log2, _check_dims
 from .btable import _check_mode, _row_subsets, _scan_blocks, _top_columns
 from .errors import ParameterError
 from .gf2n import field_params, mul_bits
@@ -124,7 +124,8 @@ def verify_balance(
     rectangle's count can pass.  A later row subset could at most tie,
     and ties keep the earlier witness, so the stop changes neither
     worst_ratio nor the witness; it ends at once, for instance, a scan
-    of a table whose cells all lie in A.
+    of a table whose cells all lie in A.  The ceiling only stops a scan,
+    so the budget (``btable._row_subsets``) is met before it is built.
     """
     if not 0 < delta <= 1:  # NaN fails each of these tests
         raise ParameterError(f"delta={delta} must be in (0, 1]")
@@ -142,13 +143,11 @@ def verify_balance(
     bound = color_bound_fraction(len(A), M, delta, epsilon, c) * R * R
     if bound == math.inf:  # no count reaches it: nothing to scan
         return BalanceReport(True, 0.0)
-    if mode == "exhaustive":
-        _check_budget(N, R, budget, "colored-balance verification")
+    rows = _row_subsets(N, R, mode, trials, seed, budget, "colored-balance verification")
     indicator = np.isin(table.cells, np.array(A, dtype=np.uint32)).astype(np.int64)
     ceiling = btable._marginal_bound(indicator, R)  # no rectangle holds more of A
 
     best_count, best = 0, None
-    rows = _row_subsets(N, R, mode, trials, seed)
     for subsets, tops in _scan_blocks(indicator[None], 2, R, rows):  # label 1 marks A
         b = int(np.argmax(tops[0, :, 1]))
         if tops[0, b, 1] > best_count:

@@ -134,8 +134,10 @@ class TestVerify:
             verify_color_bound(t, BalanceSpec(S=5, shift_bound=1))
 
     def test_budget_exceeded_names_budget(self):
-        t = random_table(3, 1, 7)
-        with pytest.raises(ResourceError, match="budget 10"):
+        # m=2: the single-color check is open, its bound 13 over most = 8
+        t = random_table(3, 2, 7)
+        assert btable._marginal_bound(t.cells, 4) > 8
+        with pytest.raises(ResourceError, match=r"^single-color verification needs 4900 subset pairs, over budget 10 "):
             verify_color_bound(t, SPEC34, budget=10)
 
     @pytest.mark.parametrize("m", [1, 2])
@@ -361,7 +363,7 @@ class TestScanKernel:
         # the same kernel as exhaustive mode, over the 40 drawn row subsets,
         # or over all 16 at S=1, where None asks the kernel for every one
         grid = np.random.default_rng(seed).integers(0, K, size=(16, 16))
-        rows = lambda: btable._row_subsets(16, S, "sampled", 40, seed)
+        rows = lambda: btable._row_subsets(16, S, "sampled", 40, seed, None, "test")
         assert (rows() is None) == (S == 1)
         drawn = itertools.combinations(range(16), S) if S == 1 else rows()
         assert [tuple(r) for r in drawn] == list(oracles.sampled_rows(16, S, 40, seed))
@@ -385,7 +387,7 @@ class TestScanKernel:
         want = VerifyResult(hit is None, hit and hit[:3], hit and hit[3])
         assert verify_color_bound(t, spec, "sampled", trials=40, seed=seed) == want
         want = VerifyResult(True)
-        for i, j in itertools.permutations(range(1, shift_bound + 1), 2):
+        for i, j in ((1, j) for j in range(2, shift_bound + 1)):
             shifted = [t.cells[(rows + k) % t.N].astype(np.int64) for k in (i, j)]
             hit = oracles.sampled_scan(
                 shifted[0] * M + shifted[1], M * M, S, 2 * S * S // (M * M), 40,
@@ -415,15 +417,17 @@ class TestScanKernel:
             assert check(t, BalanceSpec(2, 1), "sampled", trials=1, seed=0).ok
 
     def test_checks_in_verification_order(self):
+        # one shift pair per difference, (1, 2)..(1, r), in both modes
         spec = BalanceSpec(S=3, shift_bound=3)
-        pairs = [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)]
+        pairs = [(1, 2), (1, 3)]
         color = ("single-color", 4, None, 4)
         assert list(btable._checks(4, spec)) == [color] + [
             ("shifted-pair", 16, p, 1) for p in pairs
         ]
         assert list(btable._checks(2, spec)) == [("shifted-pair", 4, p, 4) for p in pairs]
-        # one pair per difference, the first of each in permutations order
-        assert list(btable._checks(2, spec, every_row=True)) == [("shifted-pair", 4, p, 4) for p in pairs[:2]]
+        assert list(btable._checks(2, BalanceSpec(3, 5), "shifted-pair")) == [
+            ("shifted-pair", 4, (1, j), 4) for j in range(2, 6)
+        ]
         assert list(btable._checks(4, spec, "single-color")) == [color]
         assert list(btable._checks(2, spec, "single-color")) == []
         assert list(btable._checks(8, BalanceSpec(3, 1), "shifted-pair")) == []
@@ -445,6 +449,22 @@ class TestScanKernel:
         count = oracles.shift_pair_count(t.cells.tolist(), B1, B2, a, b, i, j)
         assert count == r.count
         assert count * t.M**2 > 2 * spec.S**2
+
+    def test_memory_bounded_for_m12_pair_labels(self):
+        # n=8, m=12: 2^24 pair labels, renumbered to the at most 2^16 that
+        # occur, on 256 columns; one row subset's counts fill 32 MiB, and
+        # np.partition's copy of them would double that
+        t = random_table(8, 12, 5)
+        tracemalloc.start()
+        try:
+            r = verify_shift_pair_bound(t, BalanceSpec(S=1, shift_bound=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
+        B1, B2, a, b, i, j = r.witness
+        assert (i, j) == (1, 2) and r.count == 1
+        assert oracles.shift_pair_count(t.cells.tolist(), B1, B2, a, b, i, j) == 1
 
 
 class TestSampledMode:
@@ -494,8 +514,8 @@ class TestSampledMode:
         # with trials >= C(N, S) a sampled run is the exhaustive scan, once
         N = 1 << n
         every = math.comb(N, S)
-        assert btable._row_subsets(N, S, "sampled", every, 1) is None
-        assert btable._row_subsets(N, S, "sampled", every - 1, 1) is not None
+        assert btable._row_subsets(N, S, "sampled", every, 1, 0, "test") is None
+        assert btable._row_subsets(N, S, "sampled", every - 1, 1, 0, "test") is not None
         for seed in range(4):
             t = random_table(n, m, seed)
             spec = BalanceSpec(S, r)
@@ -580,22 +600,18 @@ class TestDifferenceClasses:
             assert np.array_equal(btable._labels(cells, M, (i + 1, j + 1)), np.roll(grid, -1, axis=0))
             assert np.array_equal(btable._labels(cells, M, (j, i)), grid % M * M + grid // M)
 
-    def test_every_row_runs_build_one_grid_per_difference(self, built):
+    def test_both_modes_build_one_grid_per_difference(self, built):
         # a passing n=4, m=1 table at S=10, r=4 reaches every check
         table = search_table(4, 1, BalanceSpec(10, 4), "random", trials=1, seed=0)
         assert isinstance(table, Table)
         for r in (3, 4):
             spec = BalanceSpec(10, r)
-            firsts = [(1, j) for j in range(2, r + 1)]
-            for kw, want in (
-                ({}, firsts),
-                # sampled mode keys each pair's row subsets by [seed, i, j]
-                ({"mode": "sampled", "seed": 1}, list(itertools.permutations(range(1, r + 1), 2))),
-                # unless its trials reach C(16, 10) = 8008: then it walks them all
-                ({"mode": "sampled", "trials": 8008, "seed": 1}, firsts),
-            ):
+            # sampled runs too, with row subsets keyed by [seed, 1, j],
+            # or all C(16, 10) = 8008 of them once trials reach that
+            for kw in ({}, {"mode": "sampled", "seed": 1}, {"mode": "sampled", "trials": 8008, "seed": 1}):
                 built.clear()
-                assert verify_shift_pair_bound(table, spec, **kw).ok and built == want
+                assert verify_shift_pair_bound(table, spec, **kw).ok
+                assert built == [(1, j) for j in range(2, r + 1)]
 
     def test_search_builds_one_grid_per_difference(self, built):
         # trial 2 passes, so some chunk reaches every check
@@ -677,6 +693,57 @@ class TestDifferenceClasses:
         B1, B2, a, b, i, j = r.witness
         assert (i, j) == (1, 2) and r.count == 1
         assert oracles.shift_pair_count(t.cells.tolist(), B1, B2, a, b, i, j) == 1
+
+
+class TestPlan:
+    """Each check runs certificate, then budget, then scan, in both modes:
+    the budget gates only the checks the certificate leaves open."""
+
+    @pytest.fixture
+    def n5(self):
+        # n=5, m=1: no single-color check; at S=20 the marginal bound
+        # closes both pair grids (192 <= 200), at S=16 it does not
+        cells = np.random.default_rng(3).integers(0, 2, (32, 32))
+        return Table(5, 1, cells.astype(np.uint32))
+
+    def test_steps_in_order(self, monkeypatch):
+        # n=3, m=2, S=4, r=3: every check is open and passes nowhere
+        steps = []
+        for name in ("_marginal_bound", "_check_budget", "_first_violation"):
+            step = getattr(btable, name)
+            monkeypatch.setattr(btable, name, lambda *a, step=step, name=name: steps.append(name) or step(*a))
+        t = random_table(3, 2, 7)
+        plan = ["_marginal_bound", "_check_budget", "_first_violation"]
+        verify_color_bound(t, BalanceSpec(4, 3))
+        assert steps == plan
+        steps.clear()
+        assert not verify_shift_pair_bound(t, BalanceSpec(4, 3)).ok
+        assert steps == plan  # the first pair check fails
+        steps.clear()
+        verify_shift_pair_bound(t, BalanceSpec(4, 3), "sampled", trials=5, seed=1)
+        assert steps[:2] == ["_marginal_bound", "_first_violation"]
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_certificate_closes_an_over_budget_run(self, n5, r):
+        # C(32, 20)^2 = 5.1e16 subset pairs, far over the default budget
+        assert verify_shift_pair_bound(n5, BalanceSpec(20, r)) == VerifyResult(True)
+        assert verify_color_bound(n5, BalanceSpec(20, r), budget=0) == VerifyResult(True)
+
+    def test_open_check_over_budget_refused(self, n5):
+        with pytest.raises(ResourceError, match=(
+            r"^shifted-pair verification needs 361297635242552100 subset pairs, over budget 1000000000 "
+        )):
+            verify_shift_pair_bound(n5, BalanceSpec(16, 2))
+
+    def test_no_check_needs_no_budget(self):
+        # M <= 2 has no single-color check, r = 1 no pair check; the m=2
+        # table's open single-color check still meets the budget
+        t1, t2 = random_table(4, 1, 0), random_table(4, 2, 0)
+        assert verify_color_bound(t1, BalanceSpec(8, 2), budget=0).ok
+        for t in (t1, t2):
+            assert verify_shift_pair_bound(t, BalanceSpec(8, 1), budget=0).ok
+        with pytest.raises(ResourceError, match="over budget 0"):
+            verify_color_bound(t2, BalanceSpec(8, 1), budget=0)
 
 
 class TestMarginalBound:

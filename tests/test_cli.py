@@ -361,6 +361,21 @@ class TestTableCommands:
         )
         assert code == 2 and "budget 10" in err
 
+    @pytest.mark.parametrize("r", ["2", "3"])
+    def test_verify_certificate_before_budget(self, capsys, tmp_path, r):
+        # n=5, m=1: the marginal bound closes every pair check at S=20, so
+        # its C(32, 20)^2 subset pairs never meet the budget; at S=16 it
+        # leaves the (1, 2) check open, and the run is refused
+        path = tmp_path / "t5.ktb"
+        cells = np.random.default_rng(3).integers(0, 2, (32, 32))
+        btable.write_table(btable.Table(5, 1, cells.astype(np.uint32)), path)
+        check = ["table", "verify", "--table", str(path), "--shift-bound", r]
+        assert run(capsys, *check, "--S", "20") == (0, "OK\n", "")
+        code, out, err = run(capsys, *check, "--S", "16")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: shifted-pair verification needs ")
+        assert err.endswith(" subset pairs, over budget 1000000000 (raise the budget to allow this)\n")
+
 
 class TestCondenseCommands:
     @pytest.fixture

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from kextract import stats
+from kextract import btable, stats
 from kextract.btable import DENSE_LIMIT_N, Table
 from kextract.condense import (
     BalanceReport,
@@ -128,6 +128,17 @@ class TestVerifyBalance:
     def test_budget(self):
         with pytest.raises(ResourceError):
             verify_balance(random_table(3, 1, 0), 2 / 3, 0.5, 1, [0], budget=3)
+
+    def test_over_budget_refused_before_the_indicator(self, monkeypatch):
+        # the ceiling only ends a scan early, so a refused run builds
+        # neither the indicator grid nor the ceiling
+        def built(*args):
+            raise AssertionError("built before the budget check")
+
+        monkeypatch.setattr(np, "isin", built)
+        monkeypatch.setattr(btable, "_marginal_bound", built)
+        with pytest.raises(ResourceError, match=r"^colored-balance verification needs \d+ subset pairs, over budget 10 "):
+            verify_balance(standin_table(12, 2), 0.5, 0.25, 1, [0], budget=10)
 
     @settings(max_examples=15)
     @given(

@@ -38,9 +38,10 @@ def compare_checkouts(a, b, points):
 
 
 def test_compare_checkouts_same_tree_has_no_differences():
-    proc = compare_checkouts(ROOT, ROOT, 6)
+    # the first 12 seeded points hold one of each kind of table verify
+    proc = compare_checkouts(ROOT, ROOT, 12)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines() == ["22 commands (16 README, 6 seeded), 0 differences"]
+    assert proc.stdout.splitlines() == ["28 commands (16 README, 12 seeded), 0 differences"]
 
 
 def test_compare_checkouts_reports_differences(tmp_path):
