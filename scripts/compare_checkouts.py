@@ -8,12 +8,16 @@ The script then reports every command whose stdout, stderr, exit code
 or written file bytes differ between the two, and exits 1 if any do.
 
 The list is the README command matrix, then seeded points taken in turn
-from three kinds: ``table verify`` at n = 2..4 and shift bounds 2..4,
+from four kinds: ``table verify`` at n = 2..4 and shift bounds 2..4,
 exhaustive (at the default budget, and at ``--budget 1``, which refuses
 every check that the row and column bound leaves open) and sampled
 (trials below and at least C(N, S)), random and exhaustive ``table
-search``, and ``condense verify``.  The script writes every input file
-itself, so both children read the same bytes.
+search``, ``condense verify``, and exhaustive runs at n = 5 with a
+raised ``--budget``.  At S = 5 their C(32, 5) * 5 row-subset entries
+pass ``btable.SUBSET_TABLE_ENTRIES``, so the scan streams its row
+subsets; at S = 4 it reads the cached table, so both of the kernel's
+row sources are diffed.  The script
+writes every input file itself, so both children read the same bytes.
 
 Example:
     python scripts/compare_checkouts.py ../parent .
@@ -63,9 +67,13 @@ TABLES = [
     (4, 1, 10, 2, 84), (4, 2, 8, 2, 0), (4, 2, 8, 4, 1),
 ]
 
+# (m, colors used, seed) of the n=5 tables of the raised-budget points;
+# with --colors 1, condense verify on tables 1 and 2 walks past row 0
+WIDE = [(1, 2, 0), (2, 4, 0), (2, 3, 1)]
+
 
 def _points() -> list:
-    verify, search, condense = [], [], []
+    verify, search, condense, wide = [], [], [], []
     for k, (n, m, S, _, _) in enumerate(TABLES):
         every = math.comb(1 << n, S)
         for r in range(2, 5):
@@ -80,7 +88,12 @@ def _points() -> list:
                       f"--trials 40 --seed {k} --out s{k}.ktb")
     for n, S, r in [(1, 1, 2), (1, 2, 2), (2, 2, 2), (2, 3, 3), (2, 2, 4)]:
         search.append(f"table search --n {n} --m 1 --S {S} --shift-bound {r} --mode exhaustive --out e{n}{S}{r}.ktb")
-    kinds = itertools.zip_longest(verify, search, condense)
+    for k in range(len(WIDE)):
+        wide += [f"table verify --table w{k}.ktb --S 5 --shift-bound 3 --budget {10**11}",
+                 f"table verify --table w{k}.ktb --S 4 --shift-bound 3 --budget {10**10}",
+                 f"condense verify --table w{k}.ktb --delta 0.45 --epsilon 0.25 --c 1 --colors 1 --budget {10**11}"]
+    wide.append(f"table search --n 5 --m 1 --S 5 --shift-bound 2 --trials 3 --seed 0 --budget {10**11} --out w.ktb")
+    kinds = itertools.zip_longest(verify, search, condense, wide)
     return [line for line in itertools.chain.from_iterable(kinds) if line]
 
 
@@ -108,6 +121,9 @@ def _write_inputs() -> None:
     for k, (n, m, _, used, seed) in enumerate(TABLES):
         cells = random.Random(seed)
         files[f"t{k}.ktb"] = _kxtb(n, m, [cells.randrange(used) for _ in range(1 << 2 * n)])
+    for k, (m, used, seed) in enumerate(WIDE):
+        cells = random.Random(seed)
+        files[f"w{k}.ktb"] = _kxtb(5, m, [cells.randrange(used) for _ in range(1 << 10)])
     for name, data in files.items():
         Path(name).write_bytes(data)
 

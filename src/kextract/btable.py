@@ -42,17 +42,23 @@ over all size-S column subsets.  The mode picks only the row subsets
 (``_row_subsets``, which holds the budget): all of them in lexicographic
 order (exhaustive, a proof, and sampled runs with trials >= C(N, S)), or
 ``trials`` random ones keyed by the seed, or by [seed, i, j] for pair
-(i, j) (sampled, which can only refute).  A witness is B1, its richest
-columns (``_top_columns``) and its exact count.  The kernel scans a
-stack of T grids in blocks of row subsets that double up to
-SCAN_BLOCK_ENTRIES counts, and refuses a stack whose one row subset
-needs over SCAN_BLOCK_LIMIT; ``_first_violation`` drops each grid from
-the stack at its first violation, and with fewer labels than columns it
-counts columns only for the row subsets where some label's total over
-the rows exceeds the allowed count.  The verifiers and ``condense`` scan
-one grid (T = 1).  ``search_table`` scans chunks of candidate tables
-that double from one table up to SCAN_BLOCK_ENTRIES cells (and one row
-subset's pair counts), so a chunk shares the cost of each block.
+(i, j) (sampled, which can only refute).  The walk over all of them
+slices ``_lex_subsets(N, S)``, every subset in one read-only uint8 table
+built in numpy and kept in an LRU cache of SUBSET_TABLE_CACHE tables, so
+the checks of one process that share (N, S) build it once; a walk whose
+table would pass SUBSET_TABLE_ENTRIES entries streams
+``itertools.combinations`` instead, the same subsets in the same blocks.
+A witness is B1, its richest columns (``_top_columns``) and its exact
+count.  The kernel scans a stack of T grids in blocks of row subsets
+that double up to SCAN_BLOCK_ENTRIES counts, and refuses a stack whose
+one row subset needs over SCAN_BLOCK_LIMIT; ``_first_violation`` drops
+each grid from the stack at its first violation, and with fewer labels
+than columns it counts columns only for the row subsets where some
+label's total over the rows exceeds the allowed count.  The verifiers
+and ``condense`` scan one grid (T = 1).  ``search_table`` scans chunks
+of candidate tables that double from one table up to SCAN_BLOCK_ENTRIES
+cells (and one row subset's pair counts), so a chunk shares the cost of
+each block.
 ``_random_cells`` draws a chunk in one pass and gives the tables of
 per-trial generators keyed by (seed, t): numpy builds each trial's
 SeedSequence pool, the pools' output hash runs on the whole chunk at
@@ -63,6 +69,7 @@ scans only the labels present, renumbered in order by ``_compact``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import secrets
@@ -77,9 +84,10 @@ from .errors import DecodeError, ParameterError, ResourceError
 # count for exhaustive search, the largest n a table is materialized
 # densely for (2^(2n) cells), the column counts a scan block holds
 # (128 KiB) and may hold for its one row subset (256 MiB, an n=9, m=9
-# pair check), and the cells a KXTB read or write packs at a time (a
-# multiple of 8, so every block starts on a byte boundary; ~2 MiB of
-# bits per block).
+# pair check), the entries of the largest lexicographic row-subset table
+# (C(N, S) * S; 256 KiB of uint8) and how many such tables stay cached,
+# and the cells a KXTB read or write packs at a time (a multiple of 8, so
+# every block starts on a byte boundary; ~2 MiB of bits per block).
 # Colors are uint32 cells, and m <= MAX_M keeps pair labels a*M + b
 # within int64.
 DEFAULT_PAIR_BUDGET = 10**9
@@ -87,6 +95,8 @@ DEFAULT_TABLE_BUDGET = 1 << 16
 DENSE_LIMIT_N = 12
 SCAN_BLOCK_ENTRIES = 1 << 16
 SCAN_BLOCK_LIMIT = 1 << 27
+SUBSET_TABLE_ENTRIES = 1 << 18
+SUBSET_TABLE_CACHE = 8
 IO_BLOCK_CELLS = 1 << 16
 MAX_M = 31
 
@@ -229,6 +239,33 @@ def _check_budget(N: int, S: int, budget: Optional[int], what: str) -> None:
         )
 
 
+@functools.lru_cache(maxsize=SUBSET_TABLE_CACHE)
+def _lex_subsets(N: int, S: int) -> np.ndarray:
+    """All C(N, S) size-S subsets of range(N) in lexicographic order, one
+    per row of a read-only uint8 array (uint16 for N > 256).  It is built
+    from the last element back: the j-element tails of the subsets are
+    the j-subsets of range(S - j, N), sorted by first element, so those
+    that start at a are a followed by a slice of the (j - 1)-element
+    tails, the ones whose first element exceeds a.  Each level is at
+    most as large as the next, so the build holds two levels at a time
+    and makes no Python object per subset."""
+    dtype = np.uint8 if N <= 256 else np.uint16
+    tails = np.arange(S - 1, N, dtype=dtype).reshape(-1, 1)
+    for j in range(2, S + 1):
+        heads = range(S - j, N - j + 1)
+        starts = np.searchsorted(tails[:, 0], heads, side="right").tolist()
+        table = np.empty((sum(len(tails) - s for s in starts), j), dtype)
+        at = 0
+        for a, s in zip(heads, starts):
+            end = at + len(tails) - s
+            table[at:end, 0] = a
+            table[at:end, 1:] = tails[s:]
+            at = end
+        tails = table
+    tails.setflags(write=False)
+    return tails
+
+
 def _scan_blocks(grids: np.ndarray, K: int, S: int, rows=None, most=None):
     """Yield (subsets, tops) for T stacked N x N grids over the sorted
     size-S row subsets ``rows`` (default: all, lexicographic), in blocks:
@@ -237,6 +274,13 @@ def _scan_blocks(grids: np.ndarray, K: int, S: int, rows=None, most=None):
     (T,) boolean mask drops the grids it marks False from later blocks.
     A stack that needs over SCAN_BLOCK_LIMIT counts a row subset is
     refused before anything is allocated.
+
+    The default walk's blocks are read-only slices of the cached
+    ``_lex_subsets(N, S)`` while its C(N, S) * S entries are at most
+    SUBSET_TABLE_ENTRIES; past that they are built from a lazy
+    ``itertools.combinations``, one tuple a subset, which never holds
+    more than a block.  Block sizes double from one subset up to
+    SCAN_BLOCK_ENTRIES counts whatever the source.
 
     Given ``most`` and K < N, a row subset whose every label total over
     its rows is at most ``most`` is screened: its column counts are not
@@ -259,12 +303,18 @@ def _scan_blocks(grids: np.ndarray, K: int, S: int, rows=None, most=None):
         slots -= offsets
     slots *= N
     slots += np.arange(N)  # (t, x, y) -> label*N + y
+    table = None
+    if rows is None and math.comb(N, S) * S <= SUBSET_TABLE_ENTRIES:
+        table = _lex_subsets(N, S)
     rows = itertools.combinations(range(N), S) if rows is None else iter(rows)
-    size = 1
+    start, size = 0, 1
     while len(slots):
         largest = max(1, SCAN_BLOCK_ENTRIES // (len(slots) * N * K))
-        block = itertools.chain.from_iterable(itertools.islice(rows, size))
-        subsets = np.fromiter(block, np.intp).reshape(-1, S)
+        if table is None:
+            block = itertools.chain.from_iterable(itertools.islice(rows, size))
+            subsets = np.fromiter(block, np.intp).reshape(-1, S)
+        else:
+            subsets, start = table[start:start + size], start + size
         if not len(subsets):
             return
         T, B = len(slots), len(subsets)
@@ -848,11 +898,3 @@ def read_table(path) -> Table:
     cells = _unpack_cells(memoryview(data)[7:], m, count)
     return Table(n, m, cells, f"loaded({path})")
 
-
-def read_provenance(path) -> Optional[str]:
-    """Contents of the sidecar record written next to a table file, if any."""
-    try:
-        with open(f"{path}.prov") as fh:
-            return fh.read()
-    except FileNotFoundError:
-        return None

@@ -14,9 +14,10 @@ Shipped backends: "lzma" (dictionary/LZ77 family, the default; its
 large window is what makes the self-dependency fixture sharp) and
 "bz2" (block-sorting family).  Both are deterministic and round-trip.
 
-Also here: the self-delimiting pairing codec for bit strings.  The
-length of the first part is written as doubled binary digits,
-terminated by "01", followed by both parts:
+Also here: the self-delimiting pairing encoder for bit strings (the
+decoder, which only tests use, is ``concat_decode`` in
+``tests/oracles.py``).  The length of the first part is written as
+doubled binary digits, terminated by "01", followed by both parts:
 
     encode("101", "00") = "11" doubled -> "1111" + "01" + "101" + "00"
 
@@ -30,7 +31,7 @@ import lzma
 import math
 from typing import Callable, NamedTuple, Optional
 
-from .errors import BackendError, DecodeError, ParameterError
+from .errors import BackendError, ParameterError
 
 
 class Compressor(NamedTuple):
@@ -156,32 +157,3 @@ def concat_encode(a: str, b: str) -> str:
     doubled = "".join(ch + ch for ch in length_bits)
     return doubled + "01" + a + b
 
-
-def concat_decode(s: str) -> tuple[str, str]:
-    """Inverse of concat_encode; rejects malformed input with its position."""
-    for pos, ch in enumerate(s):
-        if ch not in "01":
-            raise DecodeError(f"non-bit character {ch!r}", pos)
-    pos = 0
-    length_bits = []
-    while True:
-        pair = s[pos : pos + 2]
-        if len(pair) < 2:
-            raise DecodeError("truncated length prefix", pos)
-        if pair == "01":
-            pos += 2
-            break
-        if pair[0] != pair[1]:
-            raise DecodeError("unpaired length prefix bits", pos)
-        length_bits.append(pair[0])
-        pos += 2
-    if not length_bits:
-        raise DecodeError("empty length field", 0)
-    if length_bits[0] != "1":
-        raise DecodeError("length field has a leading zero", 0)
-    len_a = int("".join(length_bits), 2)
-    if len(s) - pos < len_a:
-        raise DecodeError(
-            f"payload shorter than declared length {len_a}", pos
-        )
-    return s[pos : pos + len_a], s[pos + len_a :]

@@ -227,6 +227,48 @@ def naive_balance(cells, colors, R, M, delta, epsilon, c):
     return ok, worst_count / bound, worst_count
 
 
+# -- readers of what the library writes, which only tests read back ---------
+
+
+def read_provenance(path):
+    """Contents of the sidecar record written next to a table file, if any."""
+    try:
+        with open(f"{path}.prov") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        return None
+
+
+def concat_decode(s: str) -> tuple[str, str]:
+    """Inverse of ``kproxy.concat_encode``; rejects malformed input with its position."""
+    for pos, ch in enumerate(s):
+        if ch not in "01":
+            raise DecodeError(f"non-bit character {ch!r}", pos)
+    pos = 0
+    length_bits = []
+    while True:
+        pair = s[pos : pos + 2]
+        if len(pair) < 2:
+            raise DecodeError("truncated length prefix", pos)
+        if pair == "01":
+            pos += 2
+            break
+        if pair[0] != pair[1]:
+            raise DecodeError("unpaired length prefix bits", pos)
+        length_bits.append(pair[0])
+        pos += 2
+    if not length_bits:
+        raise DecodeError("empty length field", 0)
+    if length_bits[0] != "1":
+        raise DecodeError("length field has a leading zero", 0)
+    len_a = int("".join(length_bits), 2)
+    if len(s) - pos < len_a:
+        raise DecodeError(
+            f"payload shorter than declared length {len_a}", pos
+        )
+    return s[pos : pos + len_a], s[pos + len_a :]
+
+
 # -- row-subset-at-a-time scans: references for the block scan kernel ------
 #
 # These are the library's earlier exhaustive scans, kept unchanged so the

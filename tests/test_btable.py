@@ -22,7 +22,6 @@ from kextract.btable import (
     check_existence_bound,
     derive_table_schedule,
     failure_prob_bounds,
-    read_provenance,
     read_table,
     search_table,
     verify_color_bound,
@@ -465,6 +464,129 @@ class TestScanKernel:
         B1, B2, a, b, i, j = r.witness
         assert (i, j) == (1, 2) and r.count == 1
         assert oracles.shift_pair_count(t.cells.tolist(), B1, B2, a, b, i, j) == 1
+
+
+class TestLexSubsetTable:
+    """The walk over all row subsets slices one cached lexicographic
+    table per (N, S) up to SUBSET_TABLE_ENTRIES entries, and streams
+    itertools.combinations past it; both give the same subsets in the
+    same blocks."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(N=st.integers(1, 20), data=st.data())
+    def test_walk_is_combinations_in_doubling_blocks(self, N, data):
+        S = data.draw(st.integers(1, N), label="S")
+        total = math.comb(N, S)
+        cap = data.draw(st.sampled_from([0, total * S - 1, total * S, btable.SUBSET_TABLE_ENTRIES]), label="cap")
+        T = data.draw(st.integers(1, 3), label="T")
+        # subsets per block for the full stack, at most ~256 blocks
+        per_block = data.draw(st.integers(1, 64), label="per_block") * max(1, total >> 8)
+        grids = np.random.default_rng(N * S).integers(0, 2, size=(T, N, N))
+        blocks, live, size = [], T, 1
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(btable, "SUBSET_TABLE_ENTRIES", cap)
+            mp.setattr(btable, "SCAN_BLOCK_ENTRIES", per_block * T * N * 2)
+            walk, keep, walked = btable._scan_blocks(grids, 2, S), None, 0
+            while walked < total:
+                subsets, tops = walk.send(keep)
+                assert len(subsets) == min(size, total - walked)  # the doubling schedule
+                assert tops.shape == (live, len(subsets), 2)
+                blocks.append(subsets)
+                walked += len(subsets)
+                size = min(2 * size, max(1, per_block * T // live))
+                drop = data.draw(st.integers(0, live - 1), label="drop")  # grids leaving the scan
+                keep, live = np.arange(live) >= drop, live - drop
+        btable._lex_subsets.cache_clear()  # the lowered cap let tables past the real one in
+        got = np.concatenate(blocks).tolist()
+        assert got == [list(c) for c in itertools.combinations(range(N), S)]
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        N=st.sampled_from([8, 16]),
+        K=st.sampled_from([2, 4, 16]),
+        data=st.data(),
+    )
+    def test_first_violation_matches_reference_on_both_sides_of_the_cap(self, seed, N, K, data):
+        S = data.draw(st.integers(1, N).filter(lambda S: math.comb(N, S) <= 1820), label="S")
+        grid = np.random.default_rng(seed).integers(0, K, size=(N, N))
+        peak = max(int(t.max()) for _, t in btable._scan_blocks(grid[None], K, S))
+        most = peak - data.draw(st.integers(0, 3), label="below_peak")
+        want = oracles.lex_exhaustive_scan(grid, K, S, lambda c: c > most)
+        for cap in (btable.SUBSET_TABLE_ENTRIES, math.comb(N, S) * S - 1):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(btable, "SUBSET_TABLE_ENTRIES", cap)
+                assert first_hit(grid, K, S, most) == want
+
+    def test_cached_table_is_read_only(self):
+        table = btable._lex_subsets(6, 3)
+        assert btable._lex_subsets(6, 3) is table
+        assert table.dtype == np.uint8 and not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 5
+        subsets, _ = next(btable._scan_blocks(np.zeros((1, 6, 6), dtype=int), 2, 3))
+        with pytest.raises(ValueError, match="read-only"):
+            subsets[0, 0] = 5
+        assert table[0].tolist() == [0, 1, 2]
+
+    def test_rows_past_256_are_uint16(self):
+        wide = btable._lex_subsets(300, 1)
+        assert wide.dtype == np.uint16 and wide[:, 0].tolist() == list(range(300))
+        assert btable._lex_subsets(256, 2).dtype == np.uint8
+
+    def test_cache_holds_at_most_its_size_times_the_cap(self):
+        # the largest and next largest uint8 tables for S = 3..8: twelve
+        # keys near the cap, more than the cache holds
+        cap = btable.SUBSET_TABLE_ENTRIES
+        keys = []
+        for S in range(3, 9):
+            N = max(N for N in range(S, 257) if math.comb(N, S) * S <= cap)
+            keys += [(N, S), (N - 1, S)]
+        btable._lex_subsets.cache_clear()
+        tracemalloc.start()
+        try:
+            for N, S in keys:
+                btable._lex_subsets(N, S)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert btable._lex_subsets.cache_info().currsize == btable.SUBSET_TABLE_CACHE
+        btable._lex_subsets.cache_clear()
+        kept = sum(math.comb(N, S) * S for N, S in keys[-btable.SUBSET_TABLE_CACHE:])  # uint8 bytes
+        assert kept <= held <= btable.SUBSET_TABLE_CACHE * cap
+
+    @pytest.mark.parametrize("S", [2, 3, 4, 6, 8, 12])
+    def test_build_at_the_cap_peaks_under_twice_its_bytes(self, S):
+        # N is the largest with C(N, S) * S entries within the cap (N = 512
+        # at S = 2, uint16); each level of the build is one slice copy per head
+        cap = btable.SUBSET_TABLE_ENTRIES
+        N = max(N for N in range(S, 1025) if math.comb(N, S) * S <= cap)
+        tracemalloc.start()
+        try:
+            table = btable._lex_subsets.__wrapped__(N, S)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.shape == (math.comb(N, S), S)
+        assert table.tolist() == [list(c) for c in itertools.combinations(range(N), S)]
+        assert peak < 2 * table.nbytes
+
+    def test_walk_past_the_cap_builds_no_table(self):
+        # C(64, 6) * 6 entries would be a 450 MB table; the first 20
+        # blocks stream from itertools.combinations
+        grid = np.random.default_rng(4).integers(0, 2, size=(64, 64))
+        misses = btable._lex_subsets.cache_info().misses
+        tracemalloc.start()
+        try:
+            walk = btable._scan_blocks(grid[None], 2, 6)
+            first = [subsets.tolist() for subsets, _ in itertools.islice(walk, 20)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert btable._lex_subsets.cache_info().misses == misses
+        assert peak < 8 * 2**20  # the blocks and their lists, not the table
+        want = itertools.islice(itertools.combinations(range(64), 6), sum(map(len, first)))
+        assert [s for block in first for s in block] == [list(c) for c in want]
 
 
 class TestSampledMode:
@@ -1350,7 +1472,7 @@ class TestFileFormat:
         back = read_table(path)
         assert back == t
         assert back.provenance.startswith("loaded(")
-        prov = read_provenance(path)
+        prov = oracles.read_provenance(path)
         assert "seed=0" in prov
 
     def test_header_layout(self, tmp_path):
@@ -1491,5 +1613,5 @@ class TestFileFormat:
         path = tmp_path / "t.ktb"
         write_table(t, path)
         (tmp_path / "t.ktb.prov").unlink()
-        assert read_provenance(path) is None
+        assert oracles.read_provenance(path) is None
         assert read_table(path) == t

@@ -86,7 +86,7 @@ class TestTableCommands:
         assert stdout_a.replace("a.ktb", "X") == stdout_b.replace("b.ktb", "X")
         assert out_a.read_bytes() == out_b.read_bytes()
         assert "seed 2026" in stdout_a
-        prov = btable.read_provenance(out_a)
+        prov = oracles.read_provenance(out_a)
         assert "seed=2026" in prov and "mode=random" in prov
 
     @pytest.mark.parametrize("seed,trials,trial", [(2026, 400, 332), (2**64 + 5, 300, 220)])
@@ -104,7 +104,7 @@ class TestTableCommands:
         assert (code, stdout) == (0, f"seed {seed}\nwrote {out}\nprovenance {prov}\n")
         want = oracles.per_trial_search(3, 1, btable.BalanceSpec(4, 2), trials=trials, seed=seed)
         assert btable.read_table(out) == want and want.provenance == prov
-        assert btable.read_provenance(out) == (
+        assert oracles.read_provenance(out) == (
             f"provenance={prov}\nmode=random\nseed={seed}\n"
             f"spec=BalanceSpec(S=4, shift_bound=2)\ntrials={trials}\n"
         )
@@ -135,7 +135,7 @@ class TestTableCommands:
             "--shift-bound", "2", "--mode", "exhaustive", "--out", str(out),
         )
         assert (code, stdout) == (0, f"wrote {out}\nprovenance searched(exhaustive)\n")
-        assert btable.read_provenance(out) == (
+        assert oracles.read_provenance(out) == (
             "provenance=searched(exhaustive)\nmode=exhaustive\n"
             "spec=BalanceSpec(S=2, shift_bound=2)\n"
         )

@@ -6,11 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fixtures_backends import FIXTURES
+from oracles import concat_decode
 from kextract.errors import BackendError, DecodeError, ParameterError
 from kextract.kproxy import (
     BACKENDS,
     DEFAULT_BACKEND,
-    concat_decode,
     concat_encode,
     dependency,
     get_backend,
