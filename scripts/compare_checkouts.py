@@ -8,15 +8,20 @@ The script then reports every command whose stdout, stderr, exit code
 or written file bytes differ between the two, and exits 1 if any do.
 
 The list is the README command matrix, then seeded points taken in turn
-from four kinds: ``table verify`` at n = 2..4 and shift bounds 2..4,
+from five kinds: ``table verify`` at n = 2..4 and shift bounds 2..4,
 exhaustive (at the default budget, and at ``--budget 1``, which refuses
 every check that the row and column bound leaves open) and sampled
 (trials below and at least C(N, S)), random and exhaustive ``table
-search``, ``condense verify``, and exhaustive runs at n = 5 with a
-raised ``--budget``.  At S = 5 their C(32, 5) * 5 row-subset entries
-pass ``btable.SUBSET_TABLE_ENTRIES``, so the scan streams its row
-subsets; at S = 4 it reads the cached table, so both of the kernel's
-row sources are diffed.  The script
+search``, ``condense verify``, exhaustive runs at n = 5 with a
+raised ``--budget``, and field points.  At S = 5 their C(32, 5) * 5
+row-subset entries pass ``btable.SUBSET_TABLE_ENTRIES``, so the scan
+streams its row subsets; at S = 4 it reads the cached table, so both of
+the kernel's row sources are diffed.  The field points are ``extend``
+at n = 16, 36 and 64 (4, 9 and 16 hex digits) with ``--count 4097``,
+one past ``extend.EXTEND_BLOCK``, so a block head calls
+``gf2n.mul_bits`` (x2 has its top bit set, so at n = 16 the product
+needs a second fold), and ``dist push --map extend-pair --n 5 --i 3
+--j 9``, whose columns come from ``gf2n.multiples``.  The script
 writes every input file itself, so both children read the same bytes.
 
 Example:
@@ -71,6 +76,14 @@ TABLES = [
 # with --colors 1, condense verify on tables 1 and 2 walks past row 0
 WIDE = [(1, 2, 0), (2, 4, 0), (2, 3, 1)]
 
+# GF(2^n) arithmetic past the README's n = 2 (see the module docstring)
+FIELD = [
+    "extend 1234 beef --count 4097",
+    "extend 2468ace01 9c0ffee11 --count 4097",
+    "extend 0123456789abcdef fedcba9876543210 --count 4097",
+    "dist push --map extend-pair --n 5 --i 3 --j 9 --out field.dist",
+]
+
 
 def _points() -> list:
     verify, search, condense, wide = [], [], [], []
@@ -93,7 +106,7 @@ def _points() -> list:
                  f"table verify --table w{k}.ktb --S 4 --shift-bound 3 --budget {10**10}",
                  f"condense verify --table w{k}.ktb --delta 0.45 --epsilon 0.25 --c 1 --colors 1 --budget {10**11}"]
     wide.append(f"table search --n 5 --m 1 --S 5 --shift-bound 2 --trials 3 --seed 0 --budget {10**11} --out w.ktb")
-    kinds = itertools.zip_longest(verify, search, condense, wide)
+    kinds = itertools.zip_longest(verify, search, condense, wide, FIELD)
     return [line for line in itertools.chain.from_iterable(kinds) if line]
 
 

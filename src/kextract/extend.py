@@ -38,10 +38,12 @@ class ExtendRequest(_Request):
 
     def __new__(cls, x1: int, x2: int, count: int, params: FieldParams):
         order = 1 << params.n
-        for name, v in (("x1", x1), ("x2", x2)):
-            if not 0 <= v < order:
-                raise ParameterError(f"{name} does not fit in {params.n} bits")
-        if not 1 <= count < order:
+        # 0 <= x1 < order, 0 <= x2 < order and 1 <= count < order at once;
+        # the checks below only name the field at fault
+        if not 0 <= x1 < order > x2 >= 0 < count < order:
+            for name, v in (("x1", x1), ("x2", x2)):
+                if not 0 <= v < order:
+                    raise ParameterError(f"{name} does not fit in {params.n} bits")
             raise ParameterError(
                 f"count {count} out of range 1..{order - 1}: "
                 "indices must be distinct nonzero field elements"
@@ -53,27 +55,28 @@ class ExtendOutput(NamedTuple):
     outputs: tuple[int, ...]
 
 
-def _blocks(req: ExtendRequest) -> Iterator[Iterator[int]]:
-    """z_1, z_2, ... as one map object per block of the table of
-    multiples lo*x2 (see ``iter_extend``)."""
-    x1, x2, count, params = req
-    end = count + 1
-    table = multiples(x2, min(end, EXTEND_BLOCK), params)
-    size = len(table)
-    yield map(x1.__xor__, table[1:end])
-    for hi in range(size, end, size):
-        yield map((x1 ^ mul_bits(x2, hi, params)).__xor__, table[:end - hi])
-
-
 def iter_extend(req: ExtendRequest) -> Iterator[int]:
     """Yield z_1, z_2, ... in index order, holding at most EXTEND_BLOCK
     field elements whatever the count.
 
     i*x2 is GF(2)-linear in i, so for i = hi + lo with hi a multiple of
     the table size L and lo < L, z_i = x1 ^ hi*x2 ^ lo*x2: one multiply
-    per block of L outputs and one XOR per output.
+    per block of L outputs and one XOR per output.  A count that one
+    table covers is one map over it.
     """
-    return itertools.chain.from_iterable(_blocks(req))
+    x1, x2, count, params = req
+    end = count + 1
+    table = multiples(x2, min(end, EXTEND_BLOCK), params)
+    size = len(table)
+    first = map(x1.__xor__, table[1:end])
+    if end <= size:
+        return first
+    rest = (
+        map((x1 ^ mul_bits(x2, hi, params)).__xor__, table[:end - hi])
+        for hi in range(size, end, size)
+    )
+    # one chain over the blocks, so each output passes one chain level
+    return itertools.chain.from_iterable(itertools.chain((first,), rest))
 
 
 def extend(req: ExtendRequest) -> ExtendOutput:

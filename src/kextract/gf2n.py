@@ -18,11 +18,14 @@ degree n, which for this encoding is the numerically smallest one, e.g.
 Only that table entry is accepted as the modulus for degree n.
 
 Elements are plain ints: addition is ``^``, ``mul_bits`` multiplies by
-shift-and-XOR with interleaved reduction, ``multiples`` tabulates k*x
-for all k below a power of two by doubling, and ``inverse_bits`` runs
-the extended Euclidean algorithm on polynomials.  Callers keep operands
-below 2^n.  All operations are pure, so everything here is safe for
-unrestricted concurrent use.
+one carry-less slot product (Kronecker substitution: each operand spread
+one bit per byte, one Python int multiply, the low bit of each product
+byte) and folds the high half over the modulus's low taps,
+``multiples`` tabulates k*x for all k below a power of two by doubling,
+and ``inverse_bits`` runs the extended Euclidean algorithm on
+polynomials.  Callers keep operands below 2^n; a negative operand is a
+``ParameterError``.  All operations are pure, so everything here is safe
+for unrestricted concurrent use.
 """
 
 from __future__ import annotations
@@ -33,6 +36,16 @@ from typing import NamedTuple
 from .errors import DomainError, ParameterError
 
 MAX_N = 64
+
+# ``mul_bits`` byte slots: _SPREAD maps the digits of ``bin(a)`` to one
+# byte each, "1" to 1 and "0" and "b" to 0, and _PARITY maps a product
+# byte to the digit of its low bit.  A slot of the spread product counts
+# the terms of one coefficient, at most n of them, so a byte holds it
+# with no carry into the next slot only while MAX_N < 256.
+assert MAX_N < 256
+_SPREAD = bytes(ord("1")) + b"\x01" + bytes(255 - ord("1"))
+_PARITY = b"01" * 128
+_from_bytes = int.from_bytes  # one lookup fewer per operand
 
 # Lexicographically least irreducible polynomial of each degree 1..64.
 # Generated by ascending search with a Rabin irreducibility test and
@@ -102,18 +115,35 @@ def field_params(n: int) -> FieldParams:
     return FieldParams(n, _LEAST_IRREDUCIBLE[n])
 
 
+@functools.lru_cache(maxsize=None)
+def _terms(modulus: int) -> tuple[int, ...]:
+    """Exponents of the terms of a polynomial, x^n and its low taps."""
+    return tuple(k for k in range(modulus.bit_length()) if modulus >> k & 1)
+
+
 def mul_bits(a: int, b: int, params: FieldParams) -> int:
-    """Field product of two raw n-bit values (int level)."""
-    top = 1 << params.n
-    modulus = params.modulus
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a <<= 1
-        if a & top:
-            a ^= modulus
+    """Field product of two raw n-bit values (int level).
+
+    The carry-less product is one int multiply: spread into byte slots
+    (see ``_SPREAD``), bit i of each operand lands in byte i, so byte k
+    of their product counts the pairs i + j = k with a_i = b_j = 1, and
+    its low bit is the GF(2) coefficient of x^k.  Its high part
+    hi * x^n, of up to n - 1 bits, is then folded by adding hi * modulus,
+    which trades x^n for the modulus's low taps, until the result fits in
+    n bits.
+    """
+    if (a | b) < 0:
+        raise ParameterError("field operands must be non-negative")
+    n = params.n
+    sa = bin(a).encode()
+    sb = bin(b).encode()
+    spread = _from_bytes(sa.translate(_SPREAD), "big") * _from_bytes(sb.translate(_SPREAD), "big")
+    # room for the product's l + m - 1 slots, l and m the digits past "0b"
+    r = int(spread.to_bytes(len(sa) + len(sb), "big").translate(_PARITY), 2)
+    terms = _terms(params.modulus)
+    while hi := r >> n:
+        for k in terms:
+            r ^= hi << k
     return r
 
 
@@ -126,16 +156,20 @@ def multiples(x: int, size: int, params: FieldParams) -> list[int]:
     top = 1 << params.n
     modulus = params.modulus
     table = [0]
-    while len(table) < size:
-        table += [x ^ t for t in table]
-        x <<= 1
-        if x & top:
-            x ^= modulus
+    if size > 1:
+        table.append(x)
+        while len(table) < size:
+            x <<= 1
+            if x & top:
+                x ^= modulus
+            table += [x ^ t for t in table]
     return table
 
 
 def inverse_bits(a: int, params: FieldParams) -> int:
     """Multiplicative inverse of a raw nonzero n-bit value (int level)."""
+    if a < 0:
+        raise ParameterError("field operands must be non-negative")
     if a == 0:
         raise DomainError("zero has no multiplicative inverse")
     # Extended Euclid over GF(2)[x]: r0 = u*modulus + t0*a throughout.

@@ -45,6 +45,26 @@ class TestExtend:
         with pytest.raises(ParameterError):
             ExtendRequest(8, 0, 1, P3)
 
+    @pytest.mark.parametrize("n", [1, 3, 64])
+    def test_request_names_the_field_at_fault(self, n):
+        params = field_params(n)
+        order = params.order
+        for bad in (-1, order):
+            with pytest.raises(ParameterError, match=f"^x1 does not fit in {n} bits$"):
+                ExtendRequest(bad, 0, 1, params)
+            with pytest.raises(ParameterError, match=f"^x2 does not fit in {n} bits$"):
+                ExtendRequest(0, bad, 1, params)
+            # x1 is named first, then x2, then the count
+            with pytest.raises(ParameterError, match="^x1 "):
+                ExtendRequest(bad, bad, 0, params)
+            with pytest.raises(ParameterError, match="^x2 "):
+                ExtendRequest(0, bad, order, params)
+        for count in (0, order):
+            want = (f"count {count} out of range 1..{order - 1}: "
+                    "indices must be distinct nonzero field elements")
+            with pytest.raises(ParameterError) as err:
+                ExtendRequest(order - 1, order - 1, count, params)
+            assert str(err.value) == want
 
     @pytest.mark.parametrize("n", [1, 3, 8, 13, 16, 64])
     @pytest.mark.parametrize(
@@ -57,7 +77,10 @@ class TestExtend:
         x1, x2 = (v % params.order for v in seeds)
         count = min(count, params.order - 1)
         want = oracles.extend_outputs(x1, x2, count, params.modulus)
-        assert extend(ExtendRequest(x1, x2, count, params)).outputs == want
+        req = ExtendRequest(x1, x2, count, params)
+        # one map below EXTEND_BLOCK, chained blocks from it on
+        assert tuple(iter_extend(req)) == want
+        assert extend(req).outputs == want
 
     def test_all_outputs_past_several_blocks(self):
         params = field_params(16)

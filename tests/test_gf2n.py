@@ -1,4 +1,6 @@
+import contextlib
 import itertools
+import signal
 
 import pytest
 from hypothesis import given
@@ -17,6 +19,22 @@ from kextract.gf2n import (
 )
 
 P3 = field_params(3)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the body once seconds have passed."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def outputs(x1, x2, count, params=P3):
@@ -51,12 +69,26 @@ class TestMul:
         for v in range(8):
             assert mul_bits(v, 0, P3) == mul_bits(0, v, P3) == 0
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_agrees_with_schoolbook_oracle_exhaustively(self, n):
         params = field_params(n)
         for a in range(params.order):
             for b in range(params.order):
                 assert mul_bits(a, b, params) == oracles.gf_mul(a, b, params.modulus)
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_fold_at_largest_product_degree(self, n):
+        # (2^n - 1)^2 has degree 2n - 2, the most the fold has to bring
+        # below n; a fold that stops one step early shows here
+        params = field_params(n)
+        ops = {1, 2 % params.order, params.order >> 1, params.order - 1}
+        for a, b in itertools.product(ops, repeat=2):
+            assert mul_bits(a, b, params) == oracles.gf_mul(a, b, params.modulus), (a, b)
+
+    @pytest.mark.parametrize("a,b", [(1, -1), (-1, 1), (-3, 5), (-(1 << 70), 1)])
+    def test_negative_operand_rejected(self, a, b):
+        with deadline(5), pytest.raises(ParameterError, match="non-negative"):
+            mul_bits(a, b, field_params(8))
 
     @given(
         n=st.integers(5, 64),
@@ -97,6 +129,11 @@ class TestInverse:
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
             inverse_bits(0, P3)
+
+    @pytest.mark.parametrize("a", [-1, -3])
+    def test_negative_rejected(self, a):
+        with deadline(5), pytest.raises(ParameterError, match="non-negative"):
+            inverse_bits(a, field_params(8))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_defining_property_exhaustive(self, n):

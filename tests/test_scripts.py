@@ -38,11 +38,12 @@ def compare_checkouts(a, b, points):
 
 
 def test_compare_checkouts_same_tree_has_no_differences():
-    # the first 16 seeded points hold one of each kind of table verify and
-    # the four n=5 raised-budget points, on both sides of the row-subset cap
-    proc = compare_checkouts(ROOT, ROOT, 16)
+    # the first 20 seeded points hold one of each kind of table verify, the
+    # four n=5 raised-budget points, on both sides of the row-subset cap,
+    # and the four field points
+    proc = compare_checkouts(ROOT, ROOT, 20)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines() == ["32 commands (16 README, 16 seeded), 0 differences"]
+    assert proc.stdout.splitlines() == ["36 commands (16 README, 20 seeded), 0 differences"]
 
 
 def test_compare_checkouts_reports_differences(tmp_path):
