@@ -14,16 +14,16 @@ import argparse
 
 from mpmath import nstr
 
-from kextract import btable
+from kextract import schedule
 
 
 def minimal_s(N: int, M: int, n: int, k: int) -> int | None:
     lo, hi = 1, N
-    if not btable.check_existence_bound(N, M, N, n, k).holds:
+    if not schedule.check_existence_bound(N, M, N, n, k).holds:
         return None
     while lo < hi:
         mid = (lo + hi) // 2
-        if btable.check_existence_bound(N, M, mid, n, k).holds:
+        if schedule.check_existence_bound(N, M, mid, n, k).holds:
             hi = mid
         else:
             lo = mid + 1
@@ -46,7 +46,7 @@ def main() -> None:
             if S is None:
                 print(f"{n:>4} {m:>3} {'unsatisfied':>12} {n:>6}")
                 continue
-            p1, p2 = btable.failure_prob_bounds(N, M, S, n, args.k)
+            p1, p2 = schedule.failure_prob_bounds(N, M, S, n, args.k)
             print(
                 f"{n:>4} {m:>3} {S:>12} {n:>6}  "
                 f"{nstr(p1, 6)}, {nstr(p2, 6)}"

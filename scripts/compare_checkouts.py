@@ -13,16 +13,22 @@ exhaustive (at the default budget, and at ``--budget 1``, which refuses
 every check that the row and column bound leaves open) and sampled
 (trials below and at least C(N, S)), random and exhaustive ``table
 search``, ``condense verify``, exhaustive runs at n = 5 with a
-raised ``--budget``, and field points.  At S = 5 their C(32, 5) * 5
-row-subset entries pass ``btable.SUBSET_TABLE_ENTRIES``, so the scan
-streams its row subsets; at S = 4 it reads the cached table, so both of
-the kernel's row sources are diffed.  The field points are ``extend``
+raised ``--budget``, field points and schedule points.  At S = 5 the
+n = 5 runs' C(32, 5) * 5 row-subset entries pass
+``btable.SUBSET_TABLE_ENTRIES``, so the scan streams its row subsets;
+at S = 4 it reads the cached table, so both of the kernel's row sources
+are diffed.  The field points are ``extend``
 at n = 16, 36 and 64 (4, 9 and 16 hex digits) with ``--count 4097``,
 one past ``extend.EXTEND_BLOCK``, so a block head calls
 ``gf2n.mul_bits`` (x2 has its top bit set, so at n = 16 the product
 needs a second fold), and ``dist push --map extend-pair --n 5 --i 3
---j 9``, whose columns come from ``gf2n.multiples``.  The script
-writes every input file itself, so both children read the same bytes.
+--j 9``, whose columns come from ``gf2n.multiples``.  The schedule
+points are ``table schedule`` at ``--n 16777216`` and ``--n 16777217``,
+on both sides of ``schedule.MAX_SCHEDULE_N``, one run whose s breaks
+the hypothesis (6k + 15) * ceil(log2 n) < s and one whose m is below 1,
+and ``condense apply`` at ``--c 3`` and at ``--c 400``, whose slack is
+past float range.  The script writes every input file itself, so both
+children read the same bytes.
 
 Example:
     python scripts/compare_checkouts.py ../parent .
@@ -85,6 +91,17 @@ FIELD = [
 ]
 
 
+# the closed-form schedules of ``kextract.schedule`` (see the module docstring)
+SCHEDULE = [
+    "table schedule --n 16777216 --k 1 --s 16777216 --alpha 3",
+    "table schedule --n 16777217 --k 1 --s 16777216 --alpha 3",
+    "table schedule --n 1024 --k 1 --s 210 --alpha 0",
+    "table schedule --n 1024 --k 1 --s 211 --alpha 0",
+    "condense apply --table c.ktb 7 9 --alpha 2 --delta 0.5 --c 3",
+    "condense apply --table c.ktb 7 9 --alpha 2 --delta 0.5 --c 400",
+]
+
+
 def _points() -> list:
     verify, search, condense, wide = [], [], [], []
     for k, (n, m, S, _, _) in enumerate(TABLES):
@@ -106,7 +123,7 @@ def _points() -> list:
                  f"table verify --table w{k}.ktb --S 4 --shift-bound 3 --budget {10**10}",
                  f"condense verify --table w{k}.ktb --delta 0.45 --epsilon 0.25 --c 1 --colors 1 --budget {10**11}"]
     wide.append(f"table search --n 5 --m 1 --S 5 --shift-bound 2 --trials 3 --seed 0 --budget {10**11} --out w.ktb")
-    kinds = itertools.zip_longest(verify, search, condense, wide, FIELD)
+    kinds = itertools.zip_longest(verify, search, condense, wide, FIELD, SCHEDULE)
     return [line for line in itertools.chain.from_iterable(kinds) if line]
 
 

@@ -20,7 +20,7 @@ from .errors import (
 
 __version__ = "0.1.0"
 
-_SUBMODULES = ("btable", "condense", "extend", "gf2n", "kproxy", "stats")
+_SUBMODULES = ("btable", "condense", "extend", "gf2n", "kproxy", "schedule", "stats")
 
 __all__ = [
     *_SUBMODULES,

@@ -39,7 +39,7 @@ it closes none of 400 checks, so there it would only add cost.
 Both modes run one kernel, ``_scan_blocks``: per row subset B1 and
 label, the sum of the S largest per-column counts, exactly the maximum
 over all size-S column subsets.  The mode picks only the row subsets
-(``_row_subsets``, which holds the budget): all of them in lexicographic
+(``row_subsets``, which holds the budget): all of them in lexicographic
 order (exhaustive, a proof, and sampled runs with trials >= C(N, S)), or
 ``trials`` random ones keyed by the seed, or by [seed, i, j] for pair
 (i, j) (sampled, which can only refute).  The walk over all of them
@@ -55,10 +55,11 @@ one row subset needs over SCAN_BLOCK_LIMIT; ``_first_violation`` drops
 each grid from the stack at its first violation, and with fewer labels
 than columns it counts columns only for the row subsets where some
 label's total over the rows exceeds the allowed count.  The verifiers
-and ``condense`` scan one grid (T = 1).  ``search_table`` scans chunks
-of candidate tables that double from one table up to SCAN_BLOCK_ENTRIES
-cells (and one row subset's pair counts), so a chunk shares the cost of
-each block.
+and ``richest_rectangle``, the running maximum that ``condense`` takes
+over its color-subset grid, scan one grid (T = 1).  ``search_table``
+scans chunks of candidate tables that double from one table up to
+SCAN_BLOCK_ENTRIES cells (and one row subset's pair counts), so a chunk
+shares the cost of each block.
 ``_random_cells`` draws a chunk in one pass and gives the tables of
 per-trial generators keyed by (seed, t): numpy builds each trial's
 SeedSequence pool, the pools' output hash runs on the whole chunk at
@@ -79,6 +80,7 @@ from typing import Iterator, Optional, Union
 import numpy as np
 
 from .errors import DecodeError, ParameterError, ResourceError
+from .schedule import derive_table_schedule  # bench/layers.py wraps btable.derive_table_schedule by name
 
 # Budgets: logical subset-pair count for exhaustive verification, table
 # count for exhaustive search, the largest n a table is materialized
@@ -110,7 +112,7 @@ TABLE_MAGIC = b"KXTB"
 TABLE_VERSION = 1
 
 
-def _check_dims(n: int, m: int) -> None:
+def check_dims(n: int, m: int) -> None:
     """A dense table needs 1 <= n <= DENSE_LIMIT_N and 1 <= m <= MAX_M."""
     if n < 1:
         raise ParameterError(f"table needs n >= 1, got {n}")
@@ -134,7 +136,7 @@ class Table:
     provenance: str = "constructed(unnamed)"
 
     def __post_init__(self):
-        _check_dims(self.n, self.m)
+        check_dims(self.n, self.m)
         N = 1 << self.n
         cells = np.ascontiguousarray(self.cells, dtype=np.uint32)
         if cells.shape == (N * N,):
@@ -380,6 +382,25 @@ def _first_violation(grids, K, S, most, rows=None) -> list:
     return found
 
 
+def richest_rectangle(indicator: np.ndarray, S: int, rows=None) -> tuple[int, Optional[tuple]]:
+    """(count, (B1, B2)) for the first S x S rectangle, B1 in the order of
+    ``rows`` (a ``row_subsets`` result), with the most 1-cells of a 0/1
+    grid, B2 its richest columns; (0, None) if the grid holds no 1.  The
+    scan stops once the count reaches the grid's ``_marginal_bound``,
+    which no rectangle passes and a later one could only tie.  That
+    ceiling only ends a scan, so callers meet the budget first."""
+    ceiling = _marginal_bound(indicator, S)
+    best_count, best = 0, None
+    for subsets, tops in _scan_blocks(indicator[None], 2, S, rows):
+        b = int(np.argmax(tops[0, :, 1]))
+        if tops[0, b, 1] > best_count:
+            best_count, B1 = int(tops[0, b, 1]), tuple(subsets[b].tolist())
+            best = B1, _top_columns(indicator, B1, 1, S)
+            if best_count >= ceiling:
+                break
+    return best_count, best
+
+
 def _line_bounds(lines: np.ndarray, S: int) -> np.ndarray:
     """Per label of an N x N grid, in increasing label order: the sum of
     its S largest min(S, c) over the rows, c its count in a row.  Each
@@ -428,7 +449,7 @@ def _marginal_bound(grid: np.ndarray, S: int) -> int:
     return int(rows.max())
 
 
-def _check_mode(mode: str, trials: int, seed) -> None:
+def check_mode(mode: str, trials: int, seed) -> None:
     """A check runs exhaustive or sampled; sampled (random) trials need a
     positive count and a nonnegative seed."""
     if mode not in ("exhaustive", "sampled"):
@@ -439,7 +460,7 @@ def _check_mode(mode: str, trials: int, seed) -> None:
         raise ParameterError(f"seed must be >= 0, got {seed}")
 
 
-def _row_subsets(N: int, S: int, mode: str, trials: int, seed, budget, what: str, pair=None):
+def row_subsets(N: int, S: int, mode: str, trials: int, seed, budget, what: str, pair=None):
     """The row subsets a check scans: None, the kernel's default of all of
     them in lexicographic order, when exhaustive (refused by
     ``_check_budget`` as ``what`` past ``budget`` subset pairs) or when
@@ -505,12 +526,12 @@ def _verify(table, spec, condition, mode, trials, seed, budget) -> VerifyResult:
     mode picks only the row subsets each check's scan walks."""
     S, N, M = spec.S, table.N, table.M
     spec.check_fits(N)
-    _check_mode(mode, trials, seed)
+    check_mode(mode, trials, seed)
     for _, K, pair, most in _checks(M, spec, condition):
         grid = _labels(table.cells, M, pair)
         if _marginal_bound(grid, S) <= most:  # no rectangle can exceed most
             continue
-        rows = _row_subsets(N, S, mode, trials, seed, budget, f"{condition} verification", pair)
+        rows = row_subsets(N, S, mode, trials, seed, budget, f"{condition} verification", pair)
         grid, K, labels = _compact(grid, K)
         first = _first_violation(grid[None], K, S, most, rows)[0]
         if first is not None:
@@ -642,10 +663,10 @@ def search_table(
     candidate wins; the nearest miss is the least ratio of a first
     violation's count to its bound, the earlier trial on ties.
     """
-    _check_dims(n, m)
+    check_dims(n, m)
     N, M = 1 << n, 1 << m
     if strategy == "random":
-        _check_mode("sampled", trials, seed)
+        check_mode("sampled", trials, seed)
         if seed is None:
             seed = secrets.randbits(63)
         total = trials
@@ -698,130 +719,6 @@ def apply_table(x1: int, x2: int, table: Table, count: int) -> list[int]:
     if not 1 <= count <= N:
         raise ParameterError(f"count must be in 1..{N}, got {count}")
     return [int(table.cells[(x1 + j) % N, x2]) for j in range(1, count + 1)]
-
-
-# ---------------------------------------------------------------------------
-# Parameter schedule for the table construction
-# ---------------------------------------------------------------------------
-
-
-def _ceil_log2(n: int) -> int:
-    return (n - 1).bit_length()
-
-
-@dataclass(frozen=True)
-class TableSchedule:
-    """Derived working parameters for the balanced-table construction.
-
-    Construct via derive_table_schedule, which validates the hypothesis
-    (6k + 15) * ceil(log2 n) < s <= n and m >= 1.
-    """
-
-    n: int
-    k: int
-    s: int
-    alpha: int
-    m: int
-    S: int
-    t: int
-
-
-# Largest n for derive_table_schedule: its S then has at most 2^24 bits.
-MAX_SCHEDULE_N = 1 << 24
-
-
-def derive_table_schedule(n: int, k: int, s: int, alpha: int) -> TableSchedule:
-    """Output length m, rectangle side S and slack t from (n, k, s, alpha).
-
-    m = floor(s/3) - (2k+5) * ceil(log2 n); S = 2^ceil(2s/3);
-    t = alpha + 7 * ceil(log2 n).  Rounding is conservative: a smaller m
-    and a larger S only strengthen the balance requirement.
-    """
-    if n < 1 or k < 1 or alpha < 0:
-        raise ParameterError("need n >= 1, k >= 1, alpha >= 0")
-    if n > MAX_SCHEDULE_N:  # S = 2^ceil(2s/3) is built as an int
-        raise ParameterError(f"n={n} above the schedule limit {MAX_SCHEDULE_N}")
-    log_n = _ceil_log2(n)
-    if s > n:
-        raise ParameterError(f"hypothesis violated: s={s} > n={n}")
-    if not (6 * k + 15) * log_n < s:
-        raise ParameterError(
-            f"hypothesis violated: (6k+15)*ceil(log2 n) = {(6 * k + 15) * log_n}"
-            f" is not strictly below s = {s}"
-        )
-    m = s // 3 - (2 * k + 5) * log_n
-    if m < 1:
-        raise ParameterError(
-            f"derived output length m = {m} < 1; increase s or decrease k"
-        )
-    S = 1 << ((2 * s + 2) // 3)  # 2^ceil(2s/3)
-    t = alpha + 7 * log_n
-    return TableSchedule(n, k, s, alpha, m, S, t)
-
-
-# ---------------------------------------------------------------------------
-# Existence bound for strongly balanced tables
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExistenceBound:
-    """Outcome of the probabilistic existence inequality lhs > rhs."""
-
-    holds: bool
-    lhs: "mpf"
-    rhs: "mpf"
-
-
-def check_existence_bound(N: int, M: int, S: int, n: int, k: int) -> ExistenceBound:
-    """Evaluate S^2 > 3M^2 ln M + 6M^2 k ln n + 6SM^2 + 6SM^2 + 6SM^2 ln(N/S) + 3M^2.
-
-    Natural logarithms; the 6SM^2 term appears twice deliberately, do
-    not fold it.  Values are mpmath floats so astronomically large
-    parameters (S = 2^hundreds) neither overflow nor lose the comparison.
-    """
-    from mpmath import mp, mpf  # here, not at import: it costs ~40 ms to load
-
-    if N < 1 or M < 1 or n < 1 or k < 1 or S < 0:
-        raise ParameterError("N, M, n, k must be >= 1 and S >= 0")
-    if S > N:
-        raise ParameterError(f"S={S} exceeds N={N}")
-    with mp.workdps(60):
-        if S == 0:
-            return ExistenceBound(False, mpf(0), mpf("+inf"))
-        M2 = mpf(M) ** 2
-        lhs = mpf(S) ** 2
-        rhs = (
-            3 * M2 * mp.log(M)
-            + 6 * M2 * k * mp.log(n)
-            + 6 * S * M2
-            + 6 * S * M2
-            + 6 * S * M2 * mp.log(mpf(N) / S)
-            + 3 * M2
-        )
-        return ExistenceBound(bool(lhs > rhs), lhs, rhs)
-
-
-def failure_prob_bounds(N: int, M: int, S: int, n: int, k: int):
-    """Natural-log exponents of the two union-bound failure probabilities.
-
-    log_p1 = -(1/3)(1/M) S^2 + ln M + 2S + 2S ln(N/S)
-    log_p2 = -(1/3)(1/M^2) S^2 + 2 ln M + 2k ln n + 2S + 2S ln(N/S)
-
-    When check_existence_bound holds, both are below -1.
-    """
-    from mpmath import mp, mpf
-
-    if N < 1 or M < 1 or n < 1 or k < 1 or S < 1:
-        raise ParameterError("N, M, n, k, S must be >= 1")
-    if S > N:
-        raise ParameterError(f"S={S} exceeds N={N}")
-    with mp.workdps(60):
-        S2 = mpf(S) ** 2
-        common = 2 * mpf(S) + 2 * S * mp.log(mpf(N) / S)
-        log_p1 = -S2 / (3 * M) + mp.log(M) + common
-        log_p2 = -S2 / (3 * mpf(M) ** 2) + 2 * mp.log(M) + 2 * k * mp.log(n) + common
-        return log_p1, log_p2
 
 
 # ---------------------------------------------------------------------------

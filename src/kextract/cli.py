@@ -13,9 +13,9 @@ The KEXTRACT_BUDGET environment variable overrides default enumeration
 budgets; --budget overrides both.
 
 Only the table, condense and dist commands use arrays: their handlers
-import numpy and the array modules in their own bodies, so extend and
-estimate start without numpy.  Drawing a seed imports secrets the same
-way.
+import numpy and the array modules in their own bodies, so extend,
+estimate and table schedule (whose arithmetic lives in ``schedule``)
+start without numpy.  Drawing a seed imports secrets the same way.
 """
 
 from __future__ import annotations
@@ -189,9 +189,9 @@ def _cmd_table_verify(args) -> int:
 
 
 def _cmd_table_schedule(args) -> int:
-    from . import btable
+    from . import schedule
 
-    sched = btable.derive_table_schedule(args.n, args.k, args.s, args.alpha)
+    sched = schedule.derive_table_schedule(args.n, args.k, args.s, args.alpha)
     print(f"m {sched.m}")
     print(f"S 2^{sched.S.bit_length() - 1}")
     print(f"t {sched.t}")
@@ -211,28 +211,26 @@ def _cmd_table_apply(args) -> int:
 
 
 def _cmd_condense_apply(args) -> int:
-    from . import btable, condense
+    from . import btable, condense, schedule
 
     table = btable.read_table(args.table)
     x, y = _pair_input(args, table.n)
-    c = condense.DEFAULT_C if args.c is None else args.c
-    schedule = condense.CondenseSchedule(
-        n=table.n, delta=args.delta, alpha=args.alpha, c=c
-    )
-    result = condense.apply_condenser(x, y, table, schedule)
+    c = schedule.DEFAULT_C if args.c is None else args.c
+    sched = schedule.CondenseSchedule(n=table.n, delta=args.delta, alpha=args.alpha, c=c)
+    result = condense.apply_condenser(x, y, table, sched)
     print(f"{result.z:0{_hex_width(table.m)}x}")
     print(f"claimed_floor {result.claimed_floor}")
     return 0
 
 
 def _cmd_condense_verify(args) -> int:
-    from . import btable, condense
+    from . import btable, condense, schedule
 
     table = btable.read_table(args.table)
     colors = (
         range(table.M) if args.colors is None else _int_list(args.colors, "--colors")
     )
-    c = condense.DEFAULT_C if args.c is None else args.c
+    c = schedule.DEFAULT_C if args.c is None else args.c
     kw = _verify_kw(args)
     report = condense.verify_balance(
         table, args.delta, args.epsilon, c, colors, args.mode, **kw

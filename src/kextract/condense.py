@@ -10,69 +10,27 @@ and every color subset A, the A-colored cell count is at most
 ``verify_balance`` measures that property exactly at desk scale.  A
 real condenser construction is out of scope here; ``standin_table``
 provides a deterministic dense ``Table`` (field multiplication truncated
-to m bits, built from ``gf2n.mul_bits``, for n <= DENSE_LIMIT_N) whose
+to m bits, built from ``gf2n.multiples``, for n <= DENSE_LIMIT_N) whose
 conformance is measured, not assumed, which keeps the verifier's
-negative paths exercisable.
-
-The constant c is a configuration input with default c=2; no concrete
-value is mandated by the interface it models.
+negative paths exercisable.  ``apply_condenser`` attaches the claimed
+floor of a ``schedule.CondenseSchedule``, where the constant c has its
+default ``schedule.DEFAULT_C``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from . import btable, stats
-from .btable import Table, _ceil_log2, _check_dims
-from .btable import _check_mode, _row_subsets, _scan_blocks, _top_columns
+from . import stats
+from .btable import Table, check_dims, check_mode, richest_rectangle, row_subsets
 from .errors import ParameterError
-from .gf2n import field_params, mul_bits
-
-DEFAULT_C = 2
-
-
-@dataclass(frozen=True)
-class CondenseSchedule:
-    """Derived epsilon/t schedule for one-string extraction at length n.
-
-    epsilon = 1/(8 n^10 alpha), exact as a Fraction;
-    t = alpha + 10*ceil(log2 n) + ceil(((delta/2) * log2(1/epsilon))^c) + 3.
-    """
-
-    n: int
-    delta: float
-    alpha: int
-    c: int = DEFAULT_C
-    epsilon: Fraction = field(init=False)
-    t: int = field(init=False)
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ParameterError(f"n={self.n} must be >= 1")
-        if not 0 < self.delta <= 1:
-            raise ParameterError(f"delta={self.delta} must be in (0, 1]")
-        if self.alpha < 1:
-            raise ParameterError(f"alpha={self.alpha} must be >= 1")
-        if self.c < 1:
-            raise ParameterError(f"c={self.c} must be >= 1")
-        epsilon = Fraction(1, 8 * self.n**10 * self.alpha)
-        log_inv_eps = math.log2(epsilon.denominator)
-        try:
-            slack = math.ceil(((self.delta / 2) * log_inv_eps) ** self.c)
-        except OverflowError:
-            raise ParameterError(
-                f"((delta/2)*log2(1/epsilon))^c = ({self.delta / 2:g}*"
-                f"{log_inv_eps:g})^{self.c} is past float range"
-            ) from None
-        t = self.alpha + 10 * _ceil_log2(self.n) + slack + 3
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "t", t)
+from .gf2n import field_params, multiples
+from .schedule import CondenseSchedule
 
 
 @dataclass(frozen=True)
@@ -112,20 +70,13 @@ def verify_balance(
 ) -> BalanceReport:
     """Check the A-colored cell bound on all rectangles with sides of
     size exactly ceil(2^(delta*n)); larger rectangles follow by the
-    averaging argument.  Both modes run the ``btable`` block scan on the
-    A-indicator grid, where worst_ratio and the witness come from the
+    averaging argument.  Both modes take ``btable.richest_rectangle`` of
+    the A-indicator grid, where worst_ratio and the witness come from the
     first row subset that reaches the largest count, with its richest
     columns.  Exhaustive mode scans all row subsets in lexicographic
     order; sampled mode ``trials`` random ones keyed by the seed, so its
-    worst_ratio only bounds the exhaustive one from below.
-
-    The scan stops as soon as the running maximum reaches the ceiling
-    ``btable._marginal_bound`` gives for the indicator grid, which no
-    rectangle's count can pass.  A later row subset could at most tie,
-    and ties keep the earlier witness, so the stop changes neither
-    worst_ratio nor the witness; it ends at once, for instance, a scan
-    of a table whose cells all lie in A.  The ceiling only stops a scan,
-    so the budget (``btable._row_subsets``) is met before it is built.
+    worst_ratio only bounds the exhaustive one from below.  The budget
+    (``btable.row_subsets``) is met before the grid is built.
     """
     if not 0 < delta <= 1:  # NaN fails each of these tests
         raise ParameterError(f"delta={delta} must be in (0, 1]")
@@ -139,22 +90,13 @@ def verify_balance(
         if not 0 <= a < M:
             raise ParameterError(f"color {a} not in 0..{M - 1}")
     R = math.ceil(2.0 ** (delta * table.n))  # <= N, since delta <= 1
-    _check_mode(mode, trials, seed)  # before an infinite bound returns early
+    check_mode(mode, trials, seed)  # before an infinite bound returns early
     bound = color_bound_fraction(len(A), M, delta, epsilon, c) * R * R
     if bound == math.inf:  # no count reaches it: nothing to scan
         return BalanceReport(True, 0.0)
-    rows = _row_subsets(N, R, mode, trials, seed, budget, "colored-balance verification")
+    rows = row_subsets(N, R, mode, trials, seed, budget, "colored-balance verification")
     indicator = np.isin(table.cells, np.array(A, dtype=np.uint32)).astype(np.int64)
-    ceiling = btable._marginal_bound(indicator, R)  # no rectangle holds more of A
-
-    best_count, best = 0, None
-    for subsets, tops in _scan_blocks(indicator[None], 2, R, rows):  # label 1 marks A
-        b = int(np.argmax(tops[0, :, 1]))
-        if tops[0, b, 1] > best_count:
-            best_count, B1 = int(tops[0, b, 1]), tuple(subsets[b].tolist())
-            best = B1, _top_columns(indicator, B1, 1, R)
-            if best_count >= ceiling:
-                break
+    best_count, best = richest_rectangle(indicator, R, rows)
     witness = best if best_count > bound else None
     return BalanceReport(witness is None, best_count / bound, witness)
 
@@ -166,19 +108,15 @@ def standin_table(n: int, m: int) -> Table:
     """
     if not 1 <= m <= n:
         raise ParameterError(f"need 1 <= m <= n, got m={m}, n={n}")
-    _check_dims(n, m)
+    check_dims(n, m)
     params = field_params(n)
     N = 1 << n
     cells = np.zeros((N, N), dtype=np.uint32)
-    # x*y is GF(2)-bilinear, so row 2^a follows from the basis products
-    # 2^a * 2^b by doubling over columns, and row 2^a + k (k < 2^a) is
-    # row 2^a XOR row k
+    # x*y is GF(2)-bilinear, so row 2^a is the multiples of 2^a, and row
+    # 2^a + k (k < 2^a) is row 2^a XOR row k
     for a in range(n):
         row = 1 << a
-        for b in range(n):
-            col = 1 << b
-            p = mul_bits(row, col, params)
-            np.bitwise_xor(cells[row, :col], p, out=cells[row, col:2 * col])
+        cells[row] = multiples(row, N, params)
         np.bitwise_xor(cells[1:row], cells[row], out=cells[row + 1:2 * row])
     cells &= (1 << m) - 1
     return Table(n, m, cells, "constructed(gf2n-mul-truncated)")

@@ -23,9 +23,9 @@ one bit per byte, one Python int multiply, the low bit of each product
 byte) and folds the high half over the modulus's low taps,
 ``multiples`` tabulates k*x for all k below a power of two by doubling,
 and ``inverse_bits`` runs the extended Euclidean algorithm on
-polynomials.  Callers keep operands below 2^n; a negative operand is a
-``ParameterError``.  All operations are pure, so everything here is safe
-for unrestricted concurrent use.
+polynomials.  Operands are n-bit values: a negative one or one of 2^n
+or more is a ``ParameterError``.  All operations are pure, so everything
+here is safe for unrestricted concurrent use.
 """
 
 from __future__ import annotations
@@ -132,9 +132,9 @@ def mul_bits(a: int, b: int, params: FieldParams) -> int:
     which trades x^n for the modulus's low taps, until the result fits in
     n bits.
     """
-    if (a | b) < 0:
-        raise ParameterError("field operands must be non-negative")
     n = params.n
+    if (a | b) >> n:  # nonzero for every operand >= 2^n and every negative one
+        raise ParameterError(f"field operands must be non-negative and below 2^{n}")
     sa = bin(a).encode()
     sb = bin(b).encode()
     spread = _from_bytes(sa.translate(_SPREAD), "big") * _from_bytes(sb.translate(_SPREAD), "big")
@@ -168,8 +168,8 @@ def multiples(x: int, size: int, params: FieldParams) -> list[int]:
 
 def inverse_bits(a: int, params: FieldParams) -> int:
     """Multiplicative inverse of a raw nonzero n-bit value (int level)."""
-    if a < 0:
-        raise ParameterError("field operands must be non-negative")
+    if a >> params.n:
+        raise ParameterError(f"field operands must be non-negative and below 2^{params.n}")
     if a == 0:
         raise DomainError("zero has no multiplicative inverse")
     # Extended Euclid over GF(2)[x]: r0 = u*modulus + t0*a throughout.

@@ -18,7 +18,7 @@ import pytest
 
 import oracles
 from fixtures_backends import FIXTURES
-from kextract import btable, condense, kproxy, stats
+from kextract import btable, condense, kproxy, schedule, stats
 from kextract.cli import main as cli_main
 from kextract.errors import ParameterError
 from kextract.extend import ExtendRequest, extend
@@ -253,11 +253,11 @@ FROZEN_BOUND_POINTS = [
 @criterion(7, "existence-bound calculator matches hand evaluation")
 def test_existence_bound_calculator():
     for N, M, S, n, k, lhs, rhs, holds, log_p1, log_p2 in FROZEN_BOUND_POINTS:
-        got = btable.check_existence_bound(N, M, S, n, k)
+        got = schedule.check_existence_bound(N, M, S, n, k)
         assert float(got.lhs) == pytest.approx(lhs, rel=1e-9)
         assert float(got.rhs) == pytest.approx(rhs, rel=1e-9)
         assert got.holds == holds
-        p1, p2 = btable.failure_prob_bounds(N, M, S, n, k)
+        p1, p2 = schedule.failure_prob_bounds(N, M, S, n, k)
         assert float(p1) == pytest.approx(log_p1, rel=1e-9)
         assert float(p2) == pytest.approx(log_p2, rel=1e-9)
         if holds:
@@ -269,8 +269,8 @@ def test_existence_bound_calculator():
             M = 1 << m
             for sexp in range(1, n + 1):
                 S = 1 << sexp
-                if btable.check_existence_bound(N, M, S, n, 1).holds:
-                    p1, p2 = btable.failure_prob_bounds(N, M, S, n, 1)
+                if schedule.check_existence_bound(N, M, S, n, 1).holds:
+                    p1, p2 = schedule.failure_prob_bounds(N, M, S, n, 1)
                     assert p1 < -1 and p2 < -1
 
 
@@ -316,7 +316,7 @@ def test_parameter_schedules():
     for n, k, s, alpha in table_grid:
         log_n = math.ceil(math.log2(n))
         assert (6 * k + 15) * log_n < s <= n
-        sched = btable.derive_table_schedule(n, k, s, alpha)
+        sched = schedule.derive_table_schedule(n, k, s, alpha)
         assert sched.m == s // 3 - (2 * k + 5) * log_n
         assert sched.m >= 1
         assert sched.S == 2 ** math.ceil(2 * s / 3)
@@ -330,7 +330,7 @@ def test_parameter_schedules():
     ]
     assert len(condenser_grid) == 10
     for n, delta, alpha, c in condenser_grid:
-        sched = condense.CondenseSchedule(n=n, delta=delta, alpha=alpha, c=c)
+        sched = schedule.CondenseSchedule(n=n, delta=delta, alpha=alpha, c=c)
         assert sched.epsilon == Fraction(1, 8 * n**10 * alpha)
         log_inv_eps = math.log2(8 * n**10 * alpha)
         expected_t = (
@@ -347,17 +347,17 @@ def test_parameter_schedules():
         boundary = (6 * k + 15) * log_n
         for bad_s in (boundary, boundary - 1, n + 1):
             with pytest.raises(ParameterError):
-                btable.derive_table_schedule(n, k, bad_s, 0)
+                schedule.derive_table_schedule(n, k, bad_s, 0)
     # hypothesis holds but the derived length collapses
     with pytest.raises(ParameterError):
-        btable.derive_table_schedule(1024, 1, 211, 0)
+        schedule.derive_table_schedule(1024, 1, 211, 0)
     for bad in (
         dict(n=0, k=1, s=10, alpha=0),
         dict(n=256, k=0, s=200, alpha=0),
         dict(n=256, k=1, s=200, alpha=-1),
     ):
         with pytest.raises(ParameterError):
-            btable.derive_table_schedule(bad["n"], bad["k"], bad["s"], bad["alpha"])
+            schedule.derive_table_schedule(bad["n"], bad["k"], bad["s"], bad["alpha"])
     for bad in (
         dict(n=8, delta=0.5, alpha=0, c=2),
         dict(n=8, delta=0.0, alpha=1, c=2),
@@ -366,7 +366,7 @@ def test_parameter_schedules():
         dict(n=0, delta=0.5, alpha=1, c=2),
     ):
         with pytest.raises(ParameterError):
-            condense.CondenseSchedule(**bad)
+            schedule.CondenseSchedule(**bad)
 
 
 # -- 10: dependency estimate fixtures --------------------------------------------

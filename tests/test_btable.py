@@ -16,12 +16,8 @@ from kextract.btable import (
     BalanceSpec,
     SearchFailure,
     Table,
-    TableSchedule,
     VerifyResult,
     apply_table,
-    check_existence_bound,
-    derive_table_schedule,
-    failure_prob_bounds,
     read_table,
     search_table,
     verify_color_bound,
@@ -30,6 +26,12 @@ from kextract.btable import (
 )
 from kextract.cli import main
 from kextract.errors import DecodeError, ParameterError, ResourceError
+from kextract.schedule import (
+    TableSchedule,
+    check_existence_bound,
+    derive_table_schedule,
+    failure_prob_bounds,
+)
 
 SPEC34 = BalanceSpec(S=4, shift_bound=2)
 
@@ -362,7 +364,7 @@ class TestScanKernel:
         # the same kernel as exhaustive mode, over the 40 drawn row subsets,
         # or over all 16 at S=1, where None asks the kernel for every one
         grid = np.random.default_rng(seed).integers(0, K, size=(16, 16))
-        rows = lambda: btable._row_subsets(16, S, "sampled", 40, seed, None, "test")
+        rows = lambda: btable.row_subsets(16, S, "sampled", 40, seed, None, "test")
         assert (rows() is None) == (S == 1)
         drawn = itertools.combinations(range(16), S) if S == 1 else rows()
         assert [tuple(r) for r in drawn] == list(oracles.sampled_rows(16, S, 40, seed))
@@ -636,8 +638,8 @@ class TestSampledMode:
         # with trials >= C(N, S) a sampled run is the exhaustive scan, once
         N = 1 << n
         every = math.comb(N, S)
-        assert btable._row_subsets(N, S, "sampled", every, 1, 0, "test") is None
-        assert btable._row_subsets(N, S, "sampled", every - 1, 1, 0, "test") is not None
+        assert btable.row_subsets(N, S, "sampled", every, 1, 0, "test") is None
+        assert btable.row_subsets(N, S, "sampled", every - 1, 1, 0, "test") is not None
         for seed in range(4):
             t = random_table(n, m, seed)
             spec = BalanceSpec(S, r)
@@ -986,6 +988,33 @@ def assert_same_search(got, want):
         assert got.provenance == want.provenance
     else:
         assert isinstance(got, SearchFailure) and got == want
+
+
+class TestRichestRectangle:
+    """The running maximum of one label that ``condense`` scans for."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), S=st.integers(1, 8),
+           density=st.sampled_from([0.0, 0.1, 0.4, 0.9]))
+    def test_first_richest_rectangle_in_lexicographic_order(self, seed, S, density):
+        grid = (np.random.default_rng(seed).random((8, 8)) < density).astype(np.int64)
+        # bound 1/2 makes the reference's witness its first row subset at the largest count
+        _, worst, witness = oracles.lex_balance_scan(grid, [1], S, 0.5)
+        assert btable.richest_rectangle(grid, S) == (round(worst / 2), witness)
+
+    def test_stops_at_the_marginal_ceiling(self, monkeypatch):
+        # every cell is 1, so the first row subset reaches S^2, the ceiling
+        scanned = []
+
+        def counted(*args):
+            for block in walk(*args):
+                scanned.append(len(block[0]))
+                yield block
+
+        walk = btable._scan_blocks
+        monkeypatch.setattr(btable, "_scan_blocks", counted)
+        got = btable.richest_rectangle(np.ones((16, 16), dtype=np.int64), 4)
+        assert got == (16, ((0, 1, 2, 3), (0, 1, 2, 3))) and scanned == [1]
 
 
 def hit_trial(table: Table) -> int:

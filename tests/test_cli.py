@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kextract import btable, condense, extend, stats
+from kextract import btable, condense, extend, schedule, stats
 from kextract.cli import _pair_input, main
 from kextract.errors import ParameterError
 from kextract.gf2n import field_params, multiples
@@ -394,7 +394,7 @@ class TestCondenseCommands:
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == f"{t.lookup(7, 9):01x}"
-        sched = condense.CondenseSchedule(n=4, delta=0.5, alpha=2, c=2)
+        sched = schedule.CondenseSchedule(n=4, delta=0.5, alpha=2, c=2)
         assert lines[1] == f"claimed_floor {t.m - sched.t}"
 
     def test_verify_all_colors_ok(self, capsys, standin_path):
@@ -798,7 +798,7 @@ class TestExitCodes:
         def broken(*args, **kw):
             raise RuntimeError("kernel fell over\nsecond line")
 
-        monkeypatch.setattr(btable, "derive_table_schedule", broken)
+        monkeypatch.setattr(schedule, "derive_table_schedule", broken)
         code, out, err = run(
             capsys, "table", "schedule", "--n", "1024", "--k", "1", "--s", "1024",
             "--alpha", "12",
@@ -1035,6 +1035,16 @@ def test_string_commands_leave_numpy_unloaded(tmp_path, argv):
         f"{_UNLOADED}"
     )
     assert _fresh_interpreter(code) == "False False False"
+
+
+def test_table_schedule_leaves_numpy_and_mpmath_unloaded():
+    code = (
+        "import sys\n"
+        "from kextract.cli import main\n"
+        "main(['table', 'schedule', '--n', '1024', '--k', '1', '--s', '1024', '--alpha', '12'])\n"
+        "print(*(m in sys.modules for m in ('numpy', 'mpmath', 'kextract.schedule')))"
+    )
+    assert _fresh_interpreter(code) == "False False True"
 
 
 # -- argv fuzzing ------------------------------------------------------------

@@ -12,7 +12,6 @@ from kextract import btable, stats
 from kextract.btable import DENSE_LIMIT_N, Table
 from kextract.condense import (
     BalanceReport,
-    CondenseSchedule,
     apply_condenser,
     color_bound_fraction,
     min_entropy_deficit,
@@ -21,6 +20,7 @@ from kextract.condense import (
 )
 from kextract.errors import ParameterError, ResourceError
 from kextract.gf2n import field_params, mul_bits
+from kextract.schedule import CondenseSchedule
 
 
 def random_table(n, m, seed):

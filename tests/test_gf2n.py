@@ -90,6 +90,19 @@ class TestMul:
         with deadline(5), pytest.raises(ParameterError, match="non-negative"):
             mul_bits(a, b, field_params(8))
 
+    # 0x11b is the n=8 modulus, so 0 in that field; 256 is x^8
+    @pytest.mark.parametrize("n,a", [(8, 0x11B), (8, 256), (8, 1 << 64), (64, 1 << 64)])
+    def test_operand_past_n_bits_rejected(self, n, a):
+        for args in ((a, 1), (1, a), (a, a)):
+            with pytest.raises(ParameterError, match=f"non-negative and below 2\\^{n}$"):
+                mul_bits(*args, field_params(n))
+
+    @pytest.mark.parametrize("a", [0x11B, 256])
+    def test_same_values_are_elements_at_n64(self, a):
+        params = field_params(64)
+        assert mul_bits(a, 1, params) == mul_bits(1, a, params) == a
+        assert mul_bits(a, inverse_bits(a, params), params) == 1
+
     @given(
         n=st.integers(5, 64),
         a=st.integers(0, 2**64 - 1),
@@ -134,6 +147,12 @@ class TestInverse:
     def test_negative_rejected(self, a):
         with deadline(5), pytest.raises(ParameterError, match="non-negative"):
             inverse_bits(a, field_params(8))
+
+    @pytest.mark.parametrize("n,a", [(8, 0x11B), (8, 256), (8, 1 << 64), (64, 1 << 64)])
+    def test_operand_past_n_bits_rejected(self, n, a):
+        # 0x11b is 0 in the n=8 field, so it has no inverse
+        with pytest.raises(ParameterError, match=f"non-negative and below 2\\^{n}$"):
+            inverse_bits(a, field_params(n))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_defining_property_exhaustive(self, n):

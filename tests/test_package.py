@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -7,7 +8,22 @@ import pytest
 
 import kextract
 
-SUBMODULES = ("btable", "condense", "extend", "gf2n", "kproxy", "stats")
+SUBMODULES = ("btable", "condense", "extend", "gf2n", "kproxy", "schedule", "stats")
+SOURCE = Path(__file__).parents[1] / "src" / "kextract"
+
+
+def imported_names(module: str) -> dict:
+    """{imported module: [names taken from it]} for one source file's
+    import statements, a relative module named by its dotted tail."""
+    found = {}
+    for node in ast.walk(ast.parse((SOURCE / f"{module}.py").read_text())):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                found.setdefault(alias.name, [])
+        elif isinstance(node, ast.ImportFrom):
+            names = found.setdefault(node.module or "", [])
+            names += [alias.name for alias in node.names]
+    return found
 
 
 def test_every_public_name_resolves():
@@ -47,6 +63,19 @@ def test_submodules_load_on_first_use():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert proc.stdout == "['kextract.errors'] True True\n"
+
+
+def test_condense_imports_only_public_btable_names():
+    imports = imported_names("condense")
+    assert "btable" not in imports.get("", [])  # no module handle to reach past
+    assert imports["btable"] and not [n for n in imports["btable"] if n.startswith("_")]
+
+
+def test_schedule_imports_no_numpy():
+    # the standard library, mpmath and errors only: a kextract module
+    # such as btable would bring numpy in with it
+    imports = imported_names("schedule")
+    assert set(imports) <= {"__future__", "dataclasses", "fractions", "math", "errors", "mpmath"}
 
 
 def test_benchmark_wrapped_names_resolve(monkeypatch):
