@@ -8,13 +8,13 @@ The script then reports every command whose stdout, stderr, exit code
 or written file bytes differ between the two, and exits 1 if any do.
 
 The list is the README command matrix, then seeded points taken in turn
-from five kinds: ``table verify`` at n = 2..4 and shift bounds 2..4,
+from seven kinds: ``table verify`` at n = 2..4 and shift bounds 2..4,
 exhaustive (at the default budget, and at ``--budget 1``, which refuses
 every check that the row and column bound leaves open) and sampled
 (trials below and at least C(N, S)), random and exhaustive ``table
 search``, ``condense verify``, exhaustive runs at n = 5 with a
-raised ``--budget``, field points and schedule points.  At S = 5 the
-n = 5 runs' C(32, 5) * 5 row-subset entries pass
+raised ``--budget``, field points, schedule points and dist points.
+At S = 5 the n = 5 runs' C(32, 5) * 5 row-subset entries pass
 ``btable.SUBSET_TABLE_ENTRIES``, so the scan streams its row subsets;
 at S = 4 it reads the cached table, so both of the kernel's row sources
 are diffed.  The field points are ``extend``
@@ -27,8 +27,14 @@ points are ``table schedule`` at ``--n 16777216`` and ``--n 16777217``,
 on both sides of ``schedule.MAX_SCHEDULE_N``, one run whose s breaks
 the hypothesis (6k + 15) * ceil(log2 n) < s and one whose m is below 1,
 and ``condense apply`` at ``--c 3`` and at ``--c 400``, whose slack is
-past float range.  The script writes every input file itself, so both
-children read the same bytes.
+past float range.  The dist points run ``dist mindent`` on seven files
+and ``dist sd`` on two of them: a 2^17-line file as ``dist_to_text``
+writes it, past one ``stats.TEXT_CHUNK``, its copies with CRLF line
+ends and with double spaces, which the line reader takes, its copies
+with an unreadable line and with a repeated outcome in the second
+chunk, a file with a 19-digit denominator and one with a 20-digit
+zero-padded outcome.  The script writes every input file itself, so
+both children read the same bytes.
 
 Example:
     python scripts/compare_checkouts.py ../parent .
@@ -102,6 +108,13 @@ SCHEDULE = [
 ]
 
 
+# distribution text that each of dist_from_text's two readers takes (see
+# the module docstring); _write_inputs writes the files
+DIST = [f"dist mindent {name}" for name in (
+    "big.dist", "crlf.dist", "spaced.dist", "badline.dist", "repeat.dist", "den19.dist", "pad20.dist",
+)] + ["dist sd big.dist spaced.dist"]
+
+
 def _points() -> list:
     verify, search, condense, wide = [], [], [], []
     for k, (n, m, S, _, _) in enumerate(TABLES):
@@ -123,7 +136,7 @@ def _points() -> list:
                  f"table verify --table w{k}.ktb --S 4 --shift-bound 3 --budget {10**10}",
                  f"condense verify --table w{k}.ktb --delta 0.45 --epsilon 0.25 --c 1 --colors 1 --budget {10**11}"]
     wide.append(f"table search --n 5 --m 1 --S 5 --shift-bound 2 --trials 3 --seed 0 --budget {10**11} --out w.ktb")
-    kinds = itertools.zip_longest(verify, search, condense, wide, FIELD, SCHEDULE)
+    kinds = itertools.zip_longest(verify, search, condense, wide, FIELD, SCHEDULE, DIST)
     return [line for line in itertools.chain.from_iterable(kinds) if line]
 
 
@@ -154,6 +167,19 @@ def _write_inputs() -> None:
     for k, (m, used, seed) in enumerate(WIDE):
         cells = random.Random(seed)
         files[f"w{k}.ktb"] = _kxtb(5, m, [cells.randrange(used) for _ in range(1 << 10)])
+    # 2^17 lines of 15 bytes, so line 100000 is in the second TEXT_CHUNK
+    lines = [f"{v:05x} 1/131072\n" for v in range(1 << 17)]
+    big = "bits 17\n" + "".join(lines)
+    dists = {
+        "big.dist": big,
+        "crlf.dist": big.replace("\n", "\r\n"),
+        "spaced.dist": big.replace(" ", "  "),
+        "badline.dist": big.replace(lines[100000], "186a0 1/131072x\n"),
+        "repeat.dist": big.replace(lines[100000], lines[5]),
+        "den19.dist": "bits 1\n0 1/9223372036854775807\n1 9223372036854775806/9223372036854775807\n",
+        "pad20.dist": "bits 4\n" + "0" * 19 + "1 1/2\n2 1/2\n",
+    }
+    files.update((name, text.encode()) for name, text in dists.items())
     for name, data in files.items():
         Path(name).write_bytes(data)
 

@@ -128,6 +128,8 @@ def _pair_input(args, table_n: int) -> tuple[int, int]:
 def _cmd_extend(args) -> int:
     x1, x2, n = _hex_pair(args.x1, args.x2)
     params = field_params(n)
+    if args.count is None and args.k < 0:  # n^k would be a fraction
+        raise ParameterError(f"--k {args.k}: must be 0 or more")
     if args.count is None and args.k >= n:  # n^k >= 2^n: too many, and too big to build
         raise ParameterError(f"--k {args.k}: n^k outputs exceed 2^{n} - 1")
     count = args.count if args.count is not None else n**args.k
@@ -343,7 +345,7 @@ def _cmd_dist_push(args) -> int:
         dist = stats.count_rows(rows, n, n * len(cols), budget)
     if args.out:
         with open(args.out, "wb") as fh:
-            for block in stats._text_blocks(dist):  # one block of the text at a time
+            for block in stats.text_blocks(dist):  # one block of the text at a time
                 fh.write(block)
         print(f"wrote {args.out}")
     else:

@@ -9,7 +9,8 @@ Outcome v has probability count/total exactly, so statements like
 One kernel, ``count_rows``, counts a map over all pairs of n-bit inputs
 a block of rows at a time; ``pushforward`` feeds it one Python call per
 pair, and vectorised maps feed it whole rows.  The text format is
-written and parsed in numpy blocks.
+written in numpy blocks.  Text in exactly that form is read in numpy
+too; any other text is read line by line.
 
 Min-entropy, statistical distance and epsilon-closeness are array
 reductions in int64.  Python ints appear only where a value can pass
@@ -26,10 +27,8 @@ here and DecodeError from ``dist_from_text``.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -46,7 +45,7 @@ MAX_BITS = 64
 INT64_MAX = (1 << 63) - 1
 
 # Values per block of the counting kernel, lines per block of the text
-# writer, and characters per chunk of the text parser: each bounds the
+# writer, and characters per chunk of the text reader: each bounds the
 # working memory of its loop.
 BLOCK = 1 << 16
 TEXT_CHUNK = 1 << 20
@@ -319,9 +318,10 @@ def _text_rows(outcomes: np.ndarray, width: int, lines: np.ndarray) -> bytes:
     return rows[rows != 0].tobytes()
 
 
-def _text_blocks(d: Dist) -> Iterator[bytes]:
-    """``dist_to_text`` as ASCII bytes: the header, then BLOCK lines at a
-    time, each line's mass taken from a table of the distinct masses."""
+def text_blocks(d: Dist) -> Iterator[bytes]:
+    """``dist_to_text`` as ASCII bytes, for a writer that need not hold
+    the whole text: the header, then BLOCK lines at a time, each line's
+    mass taken from a table of the distinct masses."""
     width = max(1, (d.domain_bits + 3) // 4)
     values, index = _mass_index(d.counts)
     g = np.gcd(values, d.total)
@@ -338,32 +338,18 @@ def _text_blocks(d: Dist) -> Iterator[bytes]:
 def dist_to_text(d: Dist) -> str:
     """Serialize: a ``bits n`` header, then ``outcome_hex num/den`` lines
     in outcome order, each probability in lowest terms."""
-    return b"".join(_text_blocks(d)).decode("ascii")
+    return b"".join(text_blocks(d)).decode("ascii")
 
 
 # The str.splitlines() boundaries; each is also whitespace.
 _BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _FIRST_LINE = re.compile(rf"\s*([^{_BREAKS}]*)")
 _HEADER = re.compile(r"bits\s+([0-9]+)")
-_TOP = 0x3001  # above every whitespace code point
-# Kinds of character: a token is a run of the first three.
-_DIGIT, _SLASH, _OTHER, _SPACE, _BREAK = range(5)
-
-
-@functools.cache
-def _char_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Kind and digit value (-1: none; a-f are 10..15) by code point,
-    code points above _TOP counting as _TOP."""
-    kind = np.full(_TOP + 1, _OTHER, np.uint8)
-    for c in range(_TOP + 1):
-        if chr(c).isspace():
-            kind[c] = _BREAK if chr(c) in _BREAKS else _SPACE
-    hex_digits = np.frombuffer(b"0123456789abcdef", np.uint8)
-    kind[hex_digits] = _DIGIT
-    kind[ord("/")] = _SLASH
-    value = np.full(_TOP + 1, -1, np.int8)
-    value[hex_digits] = np.arange(16)
-    return kind, value
+_LINE = re.compile(r"([0-9a-f]+)\s+([0-9]+)/([0-9]+)")
+# Each byte's value in a written line: 0..15 for the hex digits, 16, 17
+# and 18 for the space, slash and newline, and 255 for any other byte.
+_BYTE_VALUE = np.full(256, 255, np.uint8)
+_BYTE_VALUE[np.frombuffer(b"0123456789abcdef /\n", np.uint8)] = np.arange(19)
 
 
 def _decimal(digits: str, idx: int) -> int:
@@ -373,109 +359,86 @@ def _decimal(digits: str, idx: int) -> int:
         raise DecodeError(f"{len(digits)}-digit number is too long", idx) from None
 
 
-def _span_any(flags: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """flags[s:e].any() for each nonempty span."""
-    edges = np.column_stack((starts, ends)).ravel()
-    return np.logical_or.reduceat(np.append(flags, False), edges)[::2]
+def _int64(digits: str, idx: int) -> int:
+    value = _decimal(digits, idx)
+    if value > INT64_MAX:
+        raise DecodeError(f"{digits} exceeds 2^63 - 1", idx)
+    return value
 
 
-def _read_numbers(codes, value, starts, ends, base: int):
-    """Each span's characters read as digits in ``base`` (16 or 10).
-
-    Returns the values (uint64), a mask of the spans that are all
-    digits, and a mask of those whose value needs more than 64 bits
-    (base 16) or exceeds 2^63 - 1 (base 10).  Digits are read one place
-    at a time over all spans, in at most 16 or 19 places, so no value
-    passes 2^64; a longer span must be zeros beyond them.
-    """
-    lengths = ends - starts
-    width = min(16 if base == 16 else 19, int(lengths.max(initial=1)))
-    values = np.zeros(len(starts), np.uint64)
-    ok = np.ones(len(starts), bool)
-    for place in range(width, 0, -1):  # most significant first
-        at = ends - place
-        digits = np.where(at >= starts, np.take(value, codes[np.maximum(at, 0)]), 0)
-        ok &= digits.view(np.uint8) < base  # a non-digit's -1 reads 255
-        values = values * np.uint64(base) + digits.astype(np.uint64)
-    big = values > INT64_MAX if base == 10 else np.zeros(len(values), bool)
-    long = np.flatnonzero(lengths > width)
-    if len(long):
-        every = value[codes]
-        lo, hi = starts[long], ends[long] - width
-        ok[long] &= ~_span_any((every < 0) | (every >= base), lo, hi)
-        big[long] |= _span_any(every > 0, lo, hi)
-    return values, ok, big
-
-
-def _parse_chunk(chunk: str, bits: int, first: int):
+def _parse_lines(chunk: str, bits: int, first: int):
     """Parse a chunk of whole ``<hex> <num>/<den>`` lines whose first
-    nonblank line is at position ``first``.
+    nonblank line is at position ``first``, one line at a time.
 
     Returns the number of nonblank lines, the outcome, numerator and
-    denominator arrays of the lines before the first bad one, and that
-    line's DecodeError, or None.
+    denominator arrays (uint64) of the lines before the first bad one,
+    and that line's DecodeError, or None.
     """
-    kind, value = _char_tables()
-    if chunk.isascii():
-        codes = np.frombuffer(chunk.encode("ascii"), np.uint8)
-    else:
-        wide = np.frombuffer(chunk.encode("utf-32-le", "surrogatepass"), np.uint32)
-        codes = np.minimum(wide, _TOP)
-    kinds = np.take(kind, codes)
-    token = np.concatenate(([False], kinds < _SPACE, [False]))
-    edges = np.flatnonzero(token[1:] != token[:-1])  # token starts and ends alternate
-    starts, ends = edges[::2], edges[1::2]
-    # a token starts a line when a line break precedes it (the chunk
-    # itself starts at or after one)
-    heads = np.flatnonzero(np.concatenate(
-        ([True], _span_any(kinds == _BREAK, ends[:-1], starts[1:]))
-    )) if len(starts) else starts
-    ntok = np.diff(heads, append=len(starts))
-    # A readable line is two tokens, hex digits then digits "/" digits.
-    lines = np.flatnonzero(ntok == 2)
-    hs, he = starts[heads[lines]], ends[heads[lines]]
-    ms, me = starts[heads[lines] + 1], ends[heads[lines] + 1]
-    slashes = np.append(np.flatnonzero(kinds == _SLASH), len(codes))
-    cut = slashes[np.searchsorted(slashes, ms)]  # the first slash from ms on
-    ok = (ms < cut) & (cut < me - 1)
-    cut[~ok] = me[~ok]  # keeps both number spans inside the token
-    outcomes, ok_out, wide_outcome = _read_numbers(codes, value, hs, he, 16)
-    nums, ok_num, big_num = _read_numbers(codes, value, ms, cut, 10)
-    dens, ok_den, big_den = _read_numbers(codes, value, cut + 1, me, 10)
-    ok &= ok_out & ok_num & ok_den
-    if bits < MAX_BITS:
-        wide_outcome |= (outcomes >> np.uint64(bits)) != 0
-    limit = sys.get_int_max_str_digits()
-    if limit:
-        big_num |= cut - ms > limit
-        big_den |= me - cut - 1 > limit
-    # per nonblank line, the first failed check (0: none) in the order
-    # unreadable, outcome too wide, bad denominator, zero denominator,
-    # bad numerator
-    fail = np.ones(len(heads), np.int8)
-    fail[lines] = np.select(
-        [~ok, wide_outcome, big_den, dens == 0, big_num], [1, 2, 3, 4, 5], 0
-    )
-    bad = np.flatnonzero(fail)
-    if not len(bad):
-        return len(heads), outcomes, nums, dens, None
-    k = bad[0]
-    j = np.searchsorted(lines, k)  # k's index among the two-token lines
-    text = chunk[starts[heads[k]]:ends[heads[k] + ntok[k] - 1]]
-    kind = fail[k]
-    if kind == 1:
-        message = f"unreadable distribution line {text!r}"
-    elif kind == 2:
-        message = f"outcome {chunk[hs[j]:he[j]]} does not fit in {bits} bits"
-    elif kind == 4:
-        message = f"zero denominator in {text!r}"
-    else:
-        number = chunk[cut[j] + 1:me[j]] if kind == 3 else chunk[ms[j]:cut[j]]
-        if limit and len(number) > limit:
-            message = f"{len(number)}-digit number is too long"
-        else:
-            message = f"{number} exceeds 2^63 - 1"
-    return len(heads), outcomes[:j], nums[:j], dens[:j], DecodeError(message, first + k)
+    lines = [line for line in map(str.strip, chunk.splitlines()) if line]
+    rows, error = [], None
+    try:
+        for idx, line in enumerate(lines, first):
+            m = _LINE.fullmatch(line)
+            if m is None:
+                raise DecodeError(f"unreadable distribution line {line!r}", idx)
+            outcome = int(m[1], 16)
+            if outcome >> bits:
+                raise DecodeError(f"outcome {m[1]} does not fit in {bits} bits", idx)
+            den = _int64(m[3], idx)
+            if den == 0:
+                raise DecodeError(f"zero denominator in {line!r}", idx)
+            rows.append((outcome, _int64(m[2], idx), den))
+    except DecodeError as exc:
+        error = exc
+    return (len(lines), *np.array(rows, np.uint64).reshape(-1, 3).T, error)
+
+
+def _digits(value: np.ndarray, starts: np.ndarray, ends: np.ndarray, base: int, top: int):
+    """Each span of byte values read as a number in ``base`` (16 or 10),
+    one place at a time over all spans, or None when a span is empty,
+    longer than 16 (base 16) or 19 (base 10) digits, so that it could
+    pass 2^64, holds a byte that is not a digit in ``base``, or reads
+    above ``top``."""
+    widths = ends - starts
+    if widths.min(initial=1) < 1 or widths.max(initial=0) > (16 if base == 16 else 19):
+        return None
+    number = np.zeros(len(ends), np.uint64)
+    for place in range(int(widths.max(initial=0)), 0, -1):  # most significant first
+        # ends - place is negative only in a masked place of the first span
+        digit = np.where(widths >= place, value[ends - place], 0)
+        if digit.max() >= base:
+            return None
+        number *= base
+        number += digit
+    return None if number.max(initial=0) > top else number
+
+
+def _read_written(chunk: str, bits: int):
+    """``_parse_lines``'s result for a chunk of lines exactly as
+    ``dist_to_text`` writes them, or None for any other chunk.
+
+    Such a line is ``<hex> <num>/<den>`` and a newline in ASCII, with one
+    space, at most 16 hex and 19 decimal digits, the outcome below
+    2^bits, both numbers at most 2^63 - 1 and the denominator above 0.
+    The layout is checked by counting: every byte is a digit or a
+    separator, and the separators run space, slash, newline, line after
+    line.  One newline before the first line (the header's) is skipped.
+    """
+    if not (chunk.isascii() and chunk.endswith("\n")):
+        return None
+    data = chunk.encode("ascii").removeprefix(b"\n")
+    value = _BYTE_VALUE[np.frombuffer(data, np.uint8)]
+    seps = np.flatnonzero(value > 15)  # and any byte that is neither
+    if len(seps) % 3 or np.any(value[seps].reshape(-1, 3) != (16, 17, 18)):
+        return None
+    space, slash, newline = seps.reshape(-1, 3).T
+    starts = np.concatenate(([0], newline[:-1] + 1))
+    outcomes = _digits(value, starts, space, 16, (1 << bits) - 1)
+    nums = _digits(value, space + 1, slash, 10, INT64_MAX)
+    dens = _digits(value, slash + 1, newline, 10, INT64_MAX)
+    if outcomes is None or nums is None or dens is None or dens.min(initial=1) == 0:
+        return None
+    return len(outcomes), outcomes, nums, dens, None
 
 
 def _check_repeats(outcomes: np.ndarray) -> None:
@@ -501,9 +464,9 @@ def dist_from_text(text: str) -> Dist:
     header), a numerator or denominator above 2^63 - 1 (at its line),
     and a common denominator above 2^63 - 1 (one past the last line).
 
-    The body is parsed in chunks of whole lines, each as an array of
-    code points: tokens are the runs of non-whitespace, and digits are
-    read as place-value sums.
+    The body is read in chunks of whole lines: a chunk exactly as
+    ``dist_to_text`` writes it by ``_read_written`` in numpy, any other
+    by ``_parse_lines``, one regular-expression match per line.
     """
     first = _FIRST_LINE.match(text)
     header = _HEADER.fullmatch(first[1].strip())
@@ -515,7 +478,8 @@ def dist_from_text(text: str) -> Dist:
     lines, parts, pos = 1, [], first.end()
     while pos < len(text):
         end = text.find("\n", pos + TEXT_CHUNK) + 1 or len(text)
-        count, *arrays, error = _parse_chunk(text[pos:end], bits, lines)
+        chunk = text[pos:end]
+        count, *arrays, error = _read_written(chunk, bits) or _parse_lines(chunk, bits, lines)
         parts.append(arrays)
         if error is not None:  # unless an earlier line repeats an outcome
             _check_repeats(np.concatenate([p[0] for p in parts]))

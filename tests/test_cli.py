@@ -1111,12 +1111,16 @@ def fuzz_files(tmp_path_factory):
     """Paths an argv may name: valid inputs of each kind, and bad ones."""
     root = tmp_path_factory.mktemp("fuzz")
     btable.write_table(btable.Table.constant(2, 1, 1), root / "t.ktb")
-    (root / "u.dist").write_text(stats.dist_to_text(stats.Dist.uniform(2)))
+    text = stats.dist_to_text(stats.Dist.uniform(2))
+    (root / "u.dist").write_text(text)
+    (root / "crlf.dist").write_text(text.replace("\n", "\r\n"))  # read line by line
+    (root / "bad.dist").write_text(text.replace("2 1/4", "2 1/04x"))
     (root / "a.bin").write_bytes(bytes(range(64)))
     (root / "empty").write_bytes(b"")
     (root / "junk").write_bytes(b"\xff\x00junk")
     (root / "list").write_text(f"{root / 'a.bin'}\n")
-    paths = [root / name for name in ("t.ktb", "u.dist", "a.bin", "empty", "junk", "list")]
+    names = ("t.ktb", "u.dist", "crlf.dist", "bad.dist", "a.bin", "empty", "junk", "list")
+    paths = [root / name for name in names]
     return root, [str(p) for p in paths + [root / "missing", root]]
 
 
@@ -1169,6 +1173,12 @@ class TestArgvFuzz:
         )
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == "error: --k 99999999999999999999: n^k outputs exceed 2^8 - 1\n"
+
+    def test_extend_negative_k_exits_2(self, capsys):
+        # n^-1 is a float, which passed the count check and broke a slice: exit 3
+        code, out, err = run(capsys, "extend", "05", "03", "--k=-1")
+        assert code == 2 and out == "" and err == "error: --k -1: must be 0 or more\n"
+        assert run(capsys, "extend", "05", "03", "--k", "0")[:2] == (0, "06\n")
 
     def test_schedule_huge_n_exits_2(self, capsys):
         # S = 2^ceil(2s/3) was built as an int: MemoryError, exit 3

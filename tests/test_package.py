@@ -71,6 +71,22 @@ def test_condense_imports_only_public_btable_names():
     assert imports["btable"] and not [n for n in imports["btable"] if n.startswith("_")]
 
 
+def test_cli_reads_no_private_kextract_name():
+    imports = imported_names("cli")
+    modules = set(imports[""])  # bound by ``from . import ...``
+    private = [
+        f"{node.value.id}.{node.attr}"
+        for node in ast.walk(ast.parse((SOURCE / "cli.py").read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules and node.attr.startswith("_")
+    ]
+    private += [
+        f"{module}.{name}" for module in (*SUBMODULES, "errors")
+        for name in imports.get(module, []) if name.startswith("_")
+    ]
+    assert modules >= {"btable", "stats"} and not private
+
+
 def test_schedule_imports_no_numpy():
     # the standard library, mpmath and errors only: a kextract module
     # such as btable would bring numpy in with it

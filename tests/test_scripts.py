@@ -38,12 +38,13 @@ def compare_checkouts(a, b, points):
 
 
 def test_compare_checkouts_same_tree_has_no_differences():
-    # the first 24 seeded points hold one of each kind of table verify, the
+    # the first 28 seeded points hold one of each kind of table verify, the
     # four n=5 raised-budget points, on both sides of the row-subset cap,
-    # the four field points and the four table schedule points
-    proc = compare_checkouts(ROOT, ROOT, 24)
+    # the four field points, the four table schedule points and the first
+    # four dist points, which send a file past one chunk to each reader
+    proc = compare_checkouts(ROOT, ROOT, 28)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines() == ["40 commands (16 README, 24 seeded), 0 differences"]
+    assert proc.stdout.splitlines() == ["44 commands (16 README, 28 seeded), 0 differences"]
 
 
 def test_compare_checkouts_reports_differences(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kextract import stats
 from kextract.errors import DecodeError, ParameterError, ResourceError
 from kextract.extend import ExtendRequest, extend
 from kextract.gf2n import field_params, multiples
@@ -546,3 +547,97 @@ class TestParserAgainstReference:
         for k, bad in ((40, "zz 1/64\n"), (50, lines[3]), (64, "\n\n00 0/0\n")):
             text = "".join(lines[:k] + [bad] + lines[k + 1:])
             _assert_parses_like_reference(text)
+
+
+def _readers_agree(chunk, bits):
+    """``_read_written``'s result, after checking that when it reads the
+    chunk it returns exactly what the line reader returns."""
+    fast = stats._read_written(chunk, bits)
+    if fast is not None:
+        slow = stats._parse_lines(chunk, bits, 1)
+        assert fast[0] == slow[0] and fast[4] is None and slow[4] is None, (chunk, slow[4])
+        for a, b in zip(fast[1:4], slow[1:4]):
+            assert a.dtype == b.dtype == np.uint64 and np.array_equal(a, b), chunk
+    return fast
+
+
+@st.composite
+def _written_dist(draw):
+    """A Dist whose text has wide outcomes and masses of up to 19 digits."""
+    bits = draw(st.sampled_from([0, 1, 2, 5, 8, 63, 64]))
+    size = draw(st.integers(1, min(6, 1 << bits)))
+    outcomes = draw(st.lists(
+        st.integers(0, (1 << bits) - 1), min_size=size, max_size=size, unique=True
+    ))
+    counts = draw(st.lists(st.integers(0, 1 << 59), min_size=size, max_size=size).filter(any))
+    return Dist(bits, outcomes, counts)
+
+
+class TestTwoReaders:
+    """The numpy reader takes exactly what ``dist_to_text`` writes and
+    agrees with the line reader on every chunk it takes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_near_valid_text(), bits=st.sampled_from([0, 1, 5, 8, 63, 64]))
+    def test_near_valid_chunks(self, text, bits):
+        _readers_agree(text[stats._FIRST_LINE.match(text).end():], bits)
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=_written_dist(), data=st.data())
+    def test_damaged_written_chunks(self, d, data):
+        text = dist_to_text(d)
+        chunk = text[text.index("\n"):]  # as dist_from_text cuts it
+        assert _readers_agree(chunk, d.domain_bits) is not None
+        for _ in range(data.draw(st.integers(1, 3))):
+            k = data.draw(st.integers(0, len(chunk)))
+            cut = data.draw(st.integers(0, 1))
+            byte = data.draw(st.sampled_from(["\n", " ", "/", "0", "9", "a", "f", "g", "\r", "\t", "é", ""]))
+            chunk = chunk[:k] + byte + chunk[k + cut:]
+        bits = data.draw(st.sampled_from([d.domain_bits, max(0, d.domain_bits - 1)]))
+        _readers_agree(chunk, bits)
+
+    @settings(max_examples=100, deadline=None)
+    @given(d=_written_dist(), size=st.integers(1, 64))
+    def test_written_text_never_reaches_the_line_reader(self, d, size):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stats, "_parse_lines", _no_line_reader)
+            mp.setattr(stats, "TEXT_CHUNK", size)
+            assert dist_from_text(dist_to_text(d)) == d
+
+    @pytest.mark.parametrize("d", [
+        Dist.uniform(0), Dist.uniform(1), Dist.uniform(17),  # 17: two chunks
+        D(63, {0: 1, (1 << 63) - 1: (1 << 62) - 1}),
+        D(64, {0: 1, (1 << 64) - 1: (1 << 63) - 2}),  # 19-digit masses
+    ])
+    def test_written_text_never_reaches_the_line_reader_at_the_limits(self, d, monkeypatch):
+        text = dist_to_text(d)
+        monkeypatch.setattr(stats, "_parse_lines", _no_line_reader)
+        assert dist_from_text(text) == d
+        if d.domain_bits == 17:
+            assert len(text) > stats.TEXT_CHUNK
+        if d.domain_bits == 64:
+            assert "/9223372036854775807\n" in text
+
+    @pytest.mark.parametrize("odd,error", [("05 1/64\r\n", None), ("05 1/64 \n", None), ("05 1/0\n", 6)])
+    def test_one_odd_line_sends_only_its_chunk(self, monkeypatch, odd, error):
+        monkeypatch.setattr(stats, "TEXT_CHUNK", 64)
+        seen, parse_lines = [], stats._parse_lines
+
+        def line_reader(chunk, bits, first):
+            seen.append(chunk)
+            return parse_lines(chunk, bits, first)
+
+        monkeypatch.setattr(stats, "_parse_lines", line_reader)
+        lines = dist_to_text(Dist.uniform(6)).splitlines(keepends=True)
+        text = "".join(lines[:6] + [odd] + lines[7:])
+        if error is None:
+            assert dist_from_text(text) == Dist.uniform(6)
+        else:
+            with pytest.raises(DecodeError) as info:
+                dist_from_text(text)
+            assert info.value.position == error
+        assert len(seen) == 1 and odd in seen[0] and len(seen[0]) < len(text) // 4
+
+
+def _no_line_reader(chunk, bits, first):
+    raise AssertionError(f"the line reader got {chunk[:40]!r}")
