@@ -36,6 +36,14 @@ chunk, a file with a 19-digit denominator and one with a 20-digit
 zero-padded outcome.  The script writes every input file itself, so
 both children read the same bytes.
 
+The chunk points come last, after the kinds above.  ``table search``
+draws its random candidates in chunks of 1, 4, 16, 64, ... tables, so
+chunks start at trials 1, 5, 21, 85 and 341; each point's first passing
+trial is one of those or just past one, and one point stops one trial
+short of its hit at 341.  The passing-heavy points at n = 4, m = 1 and
+S = 10..12 pass at trial 0 or 1, where a chunk scans every passing
+table in full.
+
 Example:
     python scripts/compare_checkouts.py ../parent .
     python scripts/compare_checkouts.py . . --points 8
@@ -115,6 +123,19 @@ DIST = [f"dist mindent {name}" for name in (
 )] + ["dist sd big.dist spaced.dist"]
 
 
+# random table searches whose first hit is the first table of a chunk
+# (trials 1, 5, 21, 85 and 341) or just past it, then passing-heavy ones
+# at n = 4 (see the module docstring)
+SEARCH_CHUNKS = [
+    f"table search --n {n} --m 1 --S {S} --shift-bound {r} --trials {trials} --seed {seed} --out h{k}.ktb"
+    for k, (n, S, r, trials, seed) in enumerate([
+        (3, 5, 2, 400, 10), (4, 8, 2, 400, 17), (3, 5, 3, 400, 52), (3, 4, 2, 400, 458),
+        (3, 4, 2, 400, 227), (3, 4, 2, 400, 520), (3, 4, 2, 341, 227),
+        (4, 12, 2, 300, 0), (4, 11, 2, 300, 1), (4, 10, 3, 300, 9), (4, 10, 3, 300, 2),
+    ])
+]
+
+
 def _points() -> list:
     verify, search, condense, wide = [], [], [], []
     for k, (n, m, S, _, _) in enumerate(TABLES):
@@ -137,7 +158,7 @@ def _points() -> list:
                  f"condense verify --table w{k}.ktb --delta 0.45 --epsilon 0.25 --c 1 --colors 1 --budget {10**11}"]
     wide.append(f"table search --n 5 --m 1 --S 5 --shift-bound 2 --trials 3 --seed 0 --budget {10**11} --out w.ktb")
     kinds = itertools.zip_longest(verify, search, condense, wide, FIELD, SCHEDULE, DIST)
-    return [line for line in itertools.chain.from_iterable(kinds) if line]
+    return [line for line in itertools.chain.from_iterable(kinds) if line] + SEARCH_CHUNKS
 
 
 POINTS = _points()

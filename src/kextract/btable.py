@@ -33,8 +33,11 @@ from the label's counts per row and per column alone; a check whose
 bound is at most its allowed count passes with no scan, and only the
 checks it leaves open meet the budget.  ``search_table`` walks the same
 list over stacks of candidate tables, behind one budget gate and without
-the certificate: on random tables at n=3, m=1, S=4 and at n=4, m=1, S=6
-it closes none of 400 checks, so there it would only add cost.
+the certificate.  On random n=3, m=2, S=6 tables it closes about 73% of
+single-color checks and no pair check, yet computed for a whole chunk in
+one pass it made searches slower (40 seeded searches at n=3-4, on a
+2-core Xeon: 90 -> 100 ms in ``_first_misses``, and within noise when run
+on single-color checks only): the scan it spares is already cheap.
 
 Both modes run one kernel, ``_scan_blocks``: per row subset B1 and
 label, the sum of the S largest per-column counts, exactly the maximum
@@ -50,16 +53,17 @@ table would pass SUBSET_TABLE_ENTRIES entries streams
 ``itertools.combinations`` instead, the same subsets in the same blocks.
 A witness is B1, its richest columns (``_top_columns``) and its exact
 count.  The kernel scans a stack of T grids in blocks of row subsets
-that double up to SCAN_BLOCK_ENTRIES counts, and refuses a stack whose
-one row subset needs over SCAN_BLOCK_LIMIT; ``_first_violation`` drops
-each grid from the stack at its first violation, and with fewer labels
-than columns it counts columns only for the row subsets where some
-label's total over the rows exceeds the allowed count.  The verifiers
+that start at SCAN_BLOCK_ENTRIES >> 4 counts and double up to
+SCAN_BLOCK_ENTRIES, and refuses a stack whose one row subset needs over
+SCAN_BLOCK_LIMIT; ``_first_violation`` drops each grid from the stack at
+its first violation, and with fewer labels than columns it counts
+columns only for the row subsets where some label's total over the rows
+exceeds the allowed count.  The verifiers
 and ``richest_rectangle``, the running maximum that ``condense`` takes
 over its color-subset grid, scan one grid (T = 1).  ``search_table``
-scans chunks of candidate tables that double from one table up to
+scans chunks of candidate tables that grow x4 from one table up to
 SCAN_BLOCK_ENTRIES cells (and one row subset's pair counts), so a chunk
-shares the cost of each block.
+shares the fixed cost of each block and each check.
 ``_random_cells`` draws a chunk in one pass and gives the tables of
 per-trial generators keyed by (seed, t): numpy builds each trial's
 SeedSequence pool, the pools' output hash runs on the whole chunk at
@@ -281,8 +285,10 @@ def _scan_blocks(grids: np.ndarray, K: int, S: int, rows=None, most=None):
     ``_lex_subsets(N, S)`` while its C(N, S) * S entries are at most
     SUBSET_TABLE_ENTRIES; past that they are built from a lazy
     ``itertools.combinations``, one tuple a subset, which never holds
-    more than a block.  Block sizes double from one subset up to
-    SCAN_BLOCK_ENTRIES counts whatever the source.
+    more than a block.  Whatever the source, the first block holds
+    SCAN_BLOCK_ENTRIES >> 4 counts (at least one subset), so a scan that
+    stops in it wastes at most that many, and each next block doubles up
+    to SCAN_BLOCK_ENTRIES counts for the grids still in the scan.
 
     Given ``most`` and K < N, a row subset whose every label total over
     its rows is at most ``most`` is screened: its column counts are not
@@ -309,7 +315,7 @@ def _scan_blocks(grids: np.ndarray, K: int, S: int, rows=None, most=None):
     if rows is None and math.comb(N, S) * S <= SUBSET_TABLE_ENTRIES:
         table = _lex_subsets(N, S)
     rows = itertools.combinations(range(N), S) if rows is None else iter(rows)
-    start, size = 0, 1
+    start, size = 0, max(1, (SCAN_BLOCK_ENTRIES >> 4) // (T * N * K))
     while len(slots):
         largest = max(1, SCAN_BLOCK_ENTRIES // (len(slots) * N * K))
         if table is None:
@@ -654,10 +660,11 @@ def search_table(
     the exhaustive candidate count and the verification's subset pairs;
     None means DEFAULT_TABLE_BUDGET and DEFAULT_PAIR_BUDGET.
 
-    Candidates are drawn and verified in chunks that double from one
-    table up to as many as fit in SCAN_BLOCK_ENTRIES cells and
+    Candidates are drawn and verified in chunks of 1, 4, 16, ... tables,
+    up to as many as fit in SCAN_BLOCK_ENTRIES cells and
     SCAN_BLOCK_ENTRIES pair counts of one row subset; every passing
-    table in a chunk costs a full scan, so the first chunk holds one.
+    table in a chunk costs a full scan, so the first chunk holds one,
+    and a hit at trial h scans at most about 4h tables.
     The random strategy draws a chunk in one call to ``_random_cells``,
     the same tables as the per-trial generators.  The first passing
     candidate wins; the nearest miss is the least ratio of a first
@@ -701,7 +708,7 @@ def search_table(
                 return Table(n, m, cells[k].copy(), provenance(start + k))
             if miss[0] < best[0]:
                 best = miss[0], start + k, miss[1]
-        start, size = stop, min(2 * size, largest)
+        start, size = stop, min(4 * size, largest)
     if strategy == "exhaustive":
         return SearchFailure(total, math.inf, -1, "none")
     return SearchFailure(total, *best)

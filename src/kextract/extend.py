@@ -38,11 +38,15 @@ class ExtendRequest(_Request):
 
     def __new__(cls, x1: int, x2: int, count: int, params: FieldParams):
         order = 1 << params.n
-        # 0 <= x1 < order, 0 <= x2 < order and 1 <= count < order at once;
-        # the checks below only name the field at fault
-        if not 0 <= x1 < order > x2 >= 0 < count < order:
-            for name, v in (("x1", x1), ("x2", x2)):
-                if not 0 <= v < order:
+        # three ints (bool is not one), 0 <= x1 < order, 0 <= x2 < order
+        # and 1 <= count < order at once; the checks below only name the
+        # field at fault
+        if not (type(x1) is type(x2) is type(count) is int
+                and 0 <= x1 < order > x2 >= 0 < count < order):
+            for name, v in (("x1", x1), ("x2", x2), ("count", count)):
+                if type(v) is not int:
+                    raise ParameterError(f"{name} must be an int, got {type(v).__name__} {v!r}")
+                if name != "count" and not 0 <= v < order:
                     raise ParameterError(f"{name} does not fit in {params.n} bits")
             raise ParameterError(
                 f"count {count} out of range 1..{order - 1}: "

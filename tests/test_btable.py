@@ -284,7 +284,7 @@ class TestScanKernel:
 
     def test_stacked_grids_resolve_in_different_blocks(self):
         # grid 0 violates in the first subset, grid 1 only in the last,
-        # grid 2 midway, grid 3 nowhere; blocks double from one subset
+        # grid 2 midway, grid 3 nowhere; blocks start at 16 subsets and double
         K, S = 4, 6
         rng = np.random.default_rng(7)
         grids = rng.integers(0, K, size=(4, 16, 16)) % 2  # labels 0 and 1
@@ -306,14 +306,16 @@ class TestScanKernel:
         assert got[2][0] == (0, 5, 6, 7, 8, 9) and got[3] is None
 
     def test_resolved_grids_leave_the_scan(self):
-        # after grid 0 resolves in the first block, later blocks hold grid 1 only
-        grids = np.zeros((2, 8, 8), dtype=np.int64)
-        grids[1] = np.arange(8) % 2
+        # after grid 0 resolves in the first block, later blocks hold grid 1
+        # only; the first block holds SCAN_BLOCK_ENTRIES >> 4 counts, 64
+        # row subsets of 2 grids x 16 rows x 2 labels, and the next doubles
+        grids = np.zeros((2, 16, 16), dtype=np.int64)
+        grids[1] = np.arange(16) % 2
         blocks = btable._scan_blocks(grids, 2, 3)
         _, tops = next(blocks)
-        assert tops.shape == (2, 1, 2)
+        assert tops.shape == (2, (btable.SCAN_BLOCK_ENTRIES >> 4) // (2 * 16 * 2), 2) == (2, 64, 2)
         _, tops = blocks.send(np.array([False, True]))
-        assert tops.shape == (1, 2, 2)
+        assert tops.shape == (1, 128, 2)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -484,10 +486,12 @@ class TestLexSubsetTable:
         # subsets per block for the full stack, at most ~256 blocks
         per_block = data.draw(st.integers(1, 64), label="per_block") * max(1, total >> 8)
         grids = np.random.default_rng(N * S).integers(0, 2, size=(T, N, N))
-        blocks, live, size = [], T, 1
+        entries = per_block * T * N * 2
+        # the first block holds entries >> 4 counts, or one subset
+        blocks, live, size = [], T, max(1, (entries >> 4) // (T * N * 2))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(btable, "SUBSET_TABLE_ENTRIES", cap)
-            mp.setattr(btable, "SCAN_BLOCK_ENTRIES", per_block * T * N * 2)
+            mp.setattr(btable, "SCAN_BLOCK_ENTRIES", entries)
             walk, keep, walked = btable._scan_blocks(grids, 2, S), None, 0
             while walked < total:
                 subsets, tops = walk.send(keep)
@@ -1014,7 +1018,8 @@ class TestRichestRectangle:
         walk = btable._scan_blocks
         monkeypatch.setattr(btable, "_scan_blocks", counted)
         got = btable.richest_rectangle(np.ones((16, 16), dtype=np.int64), 4)
-        assert got == (16, ((0, 1, 2, 3), (0, 1, 2, 3))) and scanned == [1]
+        first = (btable.SCAN_BLOCK_ENTRIES >> 4) // (16 * 2)  # row subsets in the first block
+        assert got == (16, ((0, 1, 2, 3), (0, 1, 2, 3))) and scanned == [first] == [128]
 
 
 def hit_trial(table: Table) -> int:
@@ -1037,9 +1042,9 @@ class TestSearch:
         data=st.data(),
     )
     def test_random_search_matches_per_trial_loop(self, n, m, r, seed, trials, data):
-        # chunks double from one trial, so 1..240 trials straddle the
-        # chunk boundaries at 1, 3, 7, 15, 31, 63 and 127; seeds past
-        # 2^64 take three or more entropy words
+        # chunks grow x4 from one trial, so 1..240 trials straddle the
+        # chunk boundaries at 1, 5, 21 and 85; seeds past 2^64 take
+        # three or more entropy words
         S = data.draw(st.integers(1, 1 << n), label="S")
         spec = BalanceSpec(S, r)
         assert_same_search(
@@ -1049,10 +1054,13 @@ class TestSearch:
 
     @pytest.mark.parametrize(
         "n,m,S,r,seed,h",
-        [(3, 1, 6, 2, 5, 0), (2, 1, 3, 2, 1, 1), (4, 1, 8, 2, 3, 10), (3, 1, 4, 2, 2026, 332)],
+        [(3, 1, 6, 2, 5, 0), (2, 1, 3, 2, 1, 1), (4, 1, 8, 2, 3, 10), (3, 1, 4, 2, 2026, 332),
+         (4, 1, 8, 2, 54, 24), (3, 1, 4, 2, 227, 341), (3, 1, 4, 2, 520, 342)],
     )
     def test_hit_at_first_and_last_trial(self, n, m, S, r, seed, h):
-        # h is the first passing trial; 332 lies past the 255-trial chunk boundary
+        # h is the first passing trial; the chunks start at trials 0, 1, 5,
+        # 21, 85 and 341, so 10 lies in the third chunk, 24 in the fourth,
+        # 332 in the fifth, 341 starts the sixth and 342 is past its start
         spec = BalanceSpec(S, r)
         hit = oracles.per_trial_search(n, m, spec, "random", trials=400, seed=seed)
         assert hit_trial(hit) == h
@@ -1075,6 +1083,22 @@ class TestSearch:
             search_table(1, m, spec, "exhaustive"),
             oracles.per_trial_search(1, m, spec, "exhaustive"),
         )
+
+    def test_chunks_grow_x4_up_to_largest(self, monkeypatch):
+        # at n=3, m=2 a chunk holds at most 65536 // (8 * 16) = 512 tables
+        # (the pair counts of one row subset), so a 1000-trial miss draws
+        # chunks of 1, 4, 16, 64, 256, 512 and the 147 trials left
+        chunks = []
+        random_cells = btable._random_cells
+
+        def recorded(seed, start, stop, N, m):
+            chunks.append((start, stop))
+            return random_cells(seed, start, stop, N, m)
+
+        monkeypatch.setattr(btable, "_random_cells", recorded)
+        got = search_table(3, 2, BalanceSpec(6, 2), "random", trials=1000, seed=0)
+        assert isinstance(got, SearchFailure) and btable.SCAN_BLOCK_ENTRIES // (8 * 16) == 512
+        assert chunks == [(0, 1), (1, 5), (5, 21), (21, 85), (85, 341), (341, 853), (853, 1000)]
 
     @pytest.mark.parametrize(
         "n,m,spec", [(6, 8, BalanceSpec(1, 2)), (9, 1, BalanceSpec(1, 3)), (4, 4, BalanceSpec(2, 2))]

@@ -65,6 +65,19 @@ class TestExtend:
             with pytest.raises(ParameterError) as err:
                 ExtendRequest(order - 1, order - 1, count, params)
             assert str(err.value) == want
+        # a float or a bool is refused by name, though it compares as a number
+        for bad in (0.5, 1.5, 1.0, True, False):
+            kind = type(bad).__name__
+            with pytest.raises(ParameterError, match=f"^x1 must be an int, got {kind} {bad!r}$"):
+                ExtendRequest(bad, 0, 1, params)
+            with pytest.raises(ParameterError, match=f"^x2 must be an int, got {kind} {bad!r}$"):
+                ExtendRequest(0, bad, 1, params)
+            with pytest.raises(ParameterError, match=f"^count must be an int, got {kind} {bad!r}$"):
+                ExtendRequest(0, 0, bad, params)
+            with pytest.raises(ParameterError, match="^x1 "):
+                ExtendRequest(bad, bad, bad, params)
+            with pytest.raises(ParameterError, match="^x2 "):
+                ExtendRequest(0, bad, order, params)
 
     @pytest.mark.parametrize("n", [1, 3, 8, 13, 16, 64])
     @pytest.mark.parametrize(
