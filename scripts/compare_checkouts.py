@@ -42,7 +42,11 @@ chunks start at trials 1, 5, 21, 85 and 341; each point's first passing
 trial is one of those or just past one, and one point stops one trial
 short of its hit at 341.  The passing-heavy points at n = 4, m = 1 and
 S = 10..12 pass at trial 0 or 1, where a chunk scans every passing
-table in full.
+table in full.  The seed points follow: 300-trial random ``table
+search`` runs at n = 3 and 4 with seeds 2^32 - 1, 2^32, 2^64 + 5 and
+2^96 + 5, of 1 to 4 words, so each trial's SeedSequence entropy, the
+seed's words then the trial's, takes every length from 2 to 5 words
+and the pool hash mixes a fifth word in.
 
 Example:
     python scripts/compare_checkouts.py ../parent .
@@ -135,6 +139,13 @@ SEARCH_CHUNKS = [
     ])
 ]
 
+# seeds of 1 to 4 32-bit words, so the trials' SeedSequence entropy
+# takes every length from 2 to 5 words
+SEED_WORDS = [
+    f"table search --n {n} --m 1 --S {S} --shift-bound 2 --trials 300 --seed {seed} --out v{k}.ktb"
+    for k, (seed, (n, S)) in enumerate(itertools.product([2**32 - 1, 2**32, 2**64 + 5, 2**96 + 5], [(3, 4), (4, 8)]))
+]
+
 
 def _points() -> list:
     verify, search, condense, wide = [], [], [], []
@@ -158,7 +169,7 @@ def _points() -> list:
                  f"condense verify --table w{k}.ktb --delta 0.45 --epsilon 0.25 --c 1 --colors 1 --budget {10**11}"]
     wide.append(f"table search --n 5 --m 1 --S 5 --shift-bound 2 --trials 3 --seed 0 --budget {10**11} --out w.ktb")
     kinds = itertools.zip_longest(verify, search, condense, wide, FIELD, SCHEDULE, DIST)
-    return [line for line in itertools.chain.from_iterable(kinds) if line] + SEARCH_CHUNKS
+    return [line for line in itertools.chain.from_iterable(kinds) if line] + SEARCH_CHUNKS + SEED_WORDS
 
 
 POINTS = _points()

@@ -65,9 +65,10 @@ scans chunks of candidate tables that grow x4 from one table up to
 SCAN_BLOCK_ENTRIES cells (and one row subset's pair counts), so a chunk
 shares the fixed cost of each block and each check.
 ``_random_cells`` draws a chunk in one pass and gives the tables of
-per-trial generators keyed by (seed, t): numpy builds each trial's
-SeedSequence pool, the pools' output hash runs on the whole chunk at
-once, and one reused PCG64 takes each trial's state in turn.  A check
+per-trial generators keyed by (seed, t): ``_pools`` runs each step of
+numpy's SeedSequence entropy hash on the whole chunk at once, so does
+the pools' output hash, and one reused PCG64 takes each trial's state
+in turn and writes its raw words straight into the chunk's cells.  A check
 with more labels than its grids hold cells (wide colors, m up to 31)
 scans only the labels present, renumbered in order by ``_compact``.
 """
@@ -77,6 +78,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import secrets
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
@@ -106,11 +108,17 @@ SUBSET_TABLE_CACHE = 8
 IO_BLOCK_CELLS = 1 << 16
 MAX_M = 31
 
-# numpy's SeedSequence output-hash constants and PCG64's 128-bit LCG
-# multiplier, which NEP 19 keeps stable across numpy versions.
+# numpy's SeedSequence constants (the entropy hash's, its mix's and the
+# output hash's) and PCG64's 128-bit LCG multiplier, which NEP 19 keeps
+# stable across numpy versions.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+# the pool words SeedSequence mixes each pool word into, in order
+_OTHER_WORDS = [np.array([d for d in range(4) if d != src]) for src in range(4)]
 
 TABLE_MAGIC = b"KXTB"
 TABLE_VERSION = 1
@@ -455,15 +463,27 @@ def _marginal_bound(grid: np.ndarray, S: int) -> int:
     return int(rows.max())
 
 
-def check_mode(mode: str, trials: int, seed) -> None:
+def check_mode(mode: str, trials: int, seed) -> Optional[int]:
     """A check runs exhaustive or sampled; sampled (random) trials need a
-    positive count and a nonnegative seed."""
+    positive count and a seed that is None or a nonnegative integer (not
+    a bool).  Returns the seed, as a Python int when sampled."""
     if mode not in ("exhaustive", "sampled"):
         raise ParameterError(f"unknown mode {mode!r}")
-    if mode == "sampled" and trials < 1:
+    if mode != "sampled":
+        return seed
+    if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
-    if mode == "sampled" and seed is not None and seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
+    if seed is None:
+        return None
+    try:
+        index = operator.index(seed)  # numpy integers too
+    except TypeError:
+        index = None
+    if index is None or isinstance(seed, bool):
+        raise ParameterError(f"seed must be an int, got {type(seed).__name__} {seed!r}")
+    if index < 0:
+        raise ParameterError(f"seed must be >= 0, got {index}")
+    return index
 
 
 def row_subsets(N: int, S: int, mode: str, trials: int, seed, budget, what: str, pair=None):
@@ -532,7 +552,7 @@ def _verify(table, spec, condition, mode, trials, seed, budget) -> VerifyResult:
     mode picks only the row subsets each check's scan walks."""
     S, N, M = spec.S, table.N, table.M
     spec.check_fits(N)
-    check_mode(mode, trials, seed)
+    seed = check_mode(mode, trials, seed)
     for _, K, pair, most in _checks(M, spec, condition):
         grid = _labels(table.cells, M, pair)
         if _marginal_bound(grid, S) <= most:  # no rectangle can exceed most
@@ -605,28 +625,93 @@ def _first_misses(cells: np.ndarray, M: int, spec: BalanceSpec) -> list:
     return misses
 
 
+@functools.cache
+def _hash_constants(init: int, mult: int, steps: int) -> np.ndarray:
+    """A SeedSequence hash's constants as a (steps + 1, 1) uint32 column:
+    init, then times mult per step; step k XORs with row k and multiplies
+    by row k + 1."""
+    h = [init]
+    for _ in range(steps):
+        h.append(h[-1] * mult & _MASK32)
+    h = np.array(h, np.uint32)[:, None]
+    h.flags.writeable = False  # shared by every caller
+    return h
+
+
+def _words(x: int) -> list:
+    """x's 32-bit words, least significant first; none for 0."""
+    return [x >> s & _MASK32 for s in range(0, x.bit_length(), 32)]
+
+
+def _mix(pool: np.ndarray, word, h: np.ndarray, k: int) -> np.ndarray:
+    """SeedSequence's ``mix(pool[i], hashmix(word))`` on each row i of
+    pool, in place, the hashmixes taking steps k, k + 1, ... of h."""
+    word = word ^ h[k:k + len(pool)]
+    word *= h[k + 1:k + 1 + len(pool)]
+    word ^= word >> 16
+    word *= _MIX_R
+    pool *= _MIX_L
+    pool -= word
+    pool ^= pool >> 16
+    return pool
+
+
+def _pools(seed: int, start: int, stop: int) -> np.ndarray:
+    """The (4, stop - start) uint32 words of ``np.random.SeedSequence([seed,
+    t]).pool`` for t in start..stop-1, column t - start.
+
+    The entropy is seed's words, then t's (one word for 0): L words.
+    Each step of numpy's ``mix_entropy`` runs on the whole chunk: pool
+    word i starts as hashmix(entropy word i, or 0 past L), then each word
+    is mixed into the other three in turn, then each entropy word past
+    the fourth into all four.  The hashmixes take steps 0, 1, 2, ... of
+    one constant chain, 16 + 4 * max(0, L - 4) in all, so the steps
+    depend on L alone.  Between multiples of 2^32, t's first word runs on
+    and its other words are fixed, so the chunk splits there."""
+    pools = np.empty((4, stop - start), np.uint32)
+    low = start
+    while low < stop:
+        high = min(stop, ((low >> 32) + 1) << 32)
+        first = np.arange(low & _MASK32, (high - 1 & _MASK32) + 1, dtype=np.uint32)
+        entropy = [*(_words(seed) or [0]), first, *_words(low >> 32)]
+        h = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * max(0, len(entropy) - 4))
+        pool = pools[:, low - start:high - start]
+        for i in range(4):
+            pool[i] = entropy[i] if i < len(entropy) else 0
+        pool ^= h[:4]
+        pool *= h[1:5]
+        pool ^= pool >> 16
+        for src in range(4):
+            others = _OTHER_WORDS[src]
+            pool[others] = _mix(pool[others], pool[src], h, 4 + 3 * src)
+        for i in range(4, len(entropy)):
+            _mix(pool, entropy[i], h, 4 * i)
+        low = high
+    return pools
+
+
 def _random_cells(seed: int, start: int, stop: int, N: int, m: int) -> np.ndarray:
     """The (stop - start, N, N) uint32 cells of trials start..stop-1, row
     t equal to ``np.random.default_rng([seed, t]).integers(0, 2**m,
-    size=(N, N), dtype=np.uint32)``.  Each trial's SeedSequence pool
-    comes from numpy; its ``generate_state(4, np.uint64)`` hashes pool
-    words 0-3 twice over, with constants that run on from word to word,
-    so it runs on the whole chunk at once.  PCG64 seeds itself from
-    those words with inc = 2 * initseq + 1 and two LCG steps from state
-    0, adding initstate between them; one reused generator then gives
-    each trial's N*N/2 raw 64-bit words.  For a power-of-two range,
-    ``integers``' Lemire path keeps the top m bits of each 32-bit half,
-    low half first, and never rejects."""
-    pools = np.array([np.random.SeedSequence([seed, t]).pool for t in range(start, stop)])
-    h = [_INIT_B]
-    for _ in range(8):
-        h.append(h[-1] * _MULT_B & _MASK32)
-    words = np.tile(pools, 2) ^ np.array(h[:-1], np.uint32)
-    words *= np.array(h[1:], np.uint32)
+    size=(N, N), dtype=np.uint32)``.  ``_pools`` hashes every trial's
+    SeedSequence pool at once; ``generate_state(4, np.uint64)`` hashes
+    pool words 0-3 twice over, with constants that run on from word to
+    word, so it too runs on the whole chunk at once.  PCG64 seeds itself
+    from those words with inc = 2 * initseq + 1 and two LCG steps from
+    state 0, adding initstate between them; one reused generator then
+    writes each trial's N*N/2 raw 64-bit words into its row of cells.
+    For a power-of-two range, ``integers``' Lemire path keeps the top m
+    bits of each 32-bit half, low half first, and never rejects."""
+    h = _hash_constants(_INIT_B, _MULT_B, 8)[:, 0]
+    pools = _pools(seed, start, stop)
+    words = np.concatenate((pools, pools)).T.copy()
+    words ^= h[:-1]
+    words *= h[1:]
     words ^= words >> 16
-    cells = np.empty((stop - start, N * N), np.uint32)
+    seeds = words.astype("<u4", copy=False).view("<u8").tolist()
+    cells = np.empty((stop - start, N * N), "<u4")
     bits = np.random.PCG64(0)  # every state is overwritten
-    for row, (s0, s1, i0, i1) in zip(cells, words.astype("<u4", copy=False).view("<u8").tolist()):
+    for row, (s0, s1, i0, i1) in zip(cells.view("<u8"), seeds):
         inc = (i0 << 65 | i1 << 1 | 1) & _MASK128
         state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
         bits.state = {
@@ -635,7 +720,7 @@ def _random_cells(seed: int, start: int, stop: int, N: int, m: int) -> np.ndarra
             "has_uint32": 0,
             "uinteger": 0,
         }
-        row[:] = bits.random_raw(N * N // 2).astype("<u8", copy=False).view("<u4")
+        row[:] = bits.random_raw(N * N // 2)
     cells >>= 32 - m
     return cells.reshape(-1, N, N)
 
@@ -666,14 +751,15 @@ def search_table(
     table in a chunk costs a full scan, so the first chunk holds one,
     and a hit at trial h scans at most about 4h tables.
     The random strategy draws a chunk in one call to ``_random_cells``,
-    the same tables as the per-trial generators.  The first passing
+    which hashes the chunk's per-trial seeds together in numpy: the same
+    tables as the per-trial generators.  The first passing
     candidate wins; the nearest miss is the least ratio of a first
     violation's count to its bound, the earlier trial on ties.
     """
     check_dims(n, m)
     N, M = 1 << n, 1 << m
     if strategy == "random":
-        check_mode("sampled", trials, seed)
+        seed = check_mode("sampled", trials, seed)
         if seed is None:
             seed = secrets.randbits(63)
         total = trials

@@ -10,7 +10,7 @@ and every color subset A, the A-colored cell count is at most
 ``verify_balance`` measures that property exactly at desk scale.  A
 real condenser construction is out of scope here; ``standin_table``
 provides a deterministic dense ``Table`` (field multiplication truncated
-to m bits, built from ``gf2n.multiples``, for n <= DENSE_LIMIT_N) whose
+to m bits, built by doubling rows in numpy, for n <= DENSE_LIMIT_N) whose
 conformance is measured, not assumed, which keeps the verifier's
 negative paths exercisable.  ``apply_condenser`` attaches the claimed
 floor of a ``schedule.CondenseSchedule``, where the constant c has its
@@ -29,7 +29,7 @@ import numpy as np
 from . import stats
 from .btable import Table, check_dims, check_mode, richest_rectangle, row_subsets
 from .errors import ParameterError
-from .gf2n import field_params, multiples
+from .gf2n import field_params
 from .schedule import CondenseSchedule
 
 
@@ -90,7 +90,7 @@ def verify_balance(
         if not 0 <= a < M:
             raise ParameterError(f"color {a} not in 0..{M - 1}")
     R = math.ceil(2.0 ** (delta * table.n))  # <= N, since delta <= 1
-    check_mode(mode, trials, seed)  # before an infinite bound returns early
+    seed = check_mode(mode, trials, seed)  # before an infinite bound returns early
     bound = color_bound_fraction(len(A), M, delta, epsilon, c) * R * R
     if bound == math.inf:  # no count reaches it: nothing to scan
         return BalanceReport(True, 0.0)
@@ -109,16 +109,21 @@ def standin_table(n: int, m: int) -> Table:
     if not 1 <= m <= n:
         raise ParameterError(f"need 1 <= m <= n, got m={m}, n={n}")
     check_dims(n, m)
-    params = field_params(n)
+    modulus = field_params(n).modulus
     N = 1 << n
-    cells = np.zeros((N, N), dtype=np.uint32)
-    # x*y is GF(2)-bilinear, so row 2^a is the multiples of 2^a, and row
-    # 2^a + k (k < 2^a) is row 2^a XOR row k
+    cells = np.empty((N, N), dtype=np.uint32)
+    cells[0] = 0
+    basis = np.arange(N, dtype=np.uint32)
+    # x*y is GF(2)-bilinear, so row 2^a (basis) is row 2^(a-1) times x:
+    # shifted left, reduced where bit n is set; row 2^a + k (k < 2^a) is
+    # row 2^a XOR row k, and truncation commutes with XOR
     for a in range(n):
         row = 1 << a
-        cells[row] = multiples(row, N, params)
+        if a:
+            basis <<= 1
+            basis ^= (basis >> n) * modulus
+        np.bitwise_and(basis, (1 << m) - 1, out=cells[row])
         np.bitwise_xor(cells[1:row], cells[row], out=cells[row + 1:2 * row])
-    cells &= (1 << m) - 1
     return Table(n, m, cells, "constructed(gf2n-mul-truncated)")
 
 

@@ -409,6 +409,18 @@ class TestScanKernel:
             with pytest.raises(ParameterError):
                 check(t, SPEC34, "sampled", trials=trials, seed=seed)
 
+    @pytest.mark.parametrize("seed,shown", [(1.5, "float 1.5"), ("7", "str '7'"), (True, "bool True")])
+    def test_sampled_verify_refuses_a_seed_that_is_not_an_int(self, seed, shown):
+        t = random_table(3, 2, 0)
+        with pytest.raises(ParameterError, match=f"seed must be an int, got {shown}"):
+            verify_color_bound(t, SPEC34, "sampled", trials=5, seed=seed)
+
+    def test_sampled_verify_takes_numpy_integer_seeds(self):
+        t = random_table(3, 2, 0)
+        for seed in (np.int64(9), np.uint64(2**64 - 1)):
+            got = verify_color_bound(t, BalanceSpec(3, 1), "sampled", trials=5, seed=seed)
+            assert got == verify_color_bound(t, BalanceSpec(3, 1), "sampled", trials=5, seed=int(seed))
+
     def test_sampled_gate_runs_before_any_check(self):
         # shift_bound 1 leaves no shift pair and M = 2 no single-color
         # check, so nothing is sampled, yet trials and seed are still refused
@@ -1161,6 +1173,17 @@ class TestSearch:
         with pytest.raises(ParameterError, match="seed must be >= 0"):
             search_table(3, 1, SPEC34, "random", trials=5, seed=-1)
 
+    @pytest.mark.parametrize("seed,shown", [(1.5, "float 1.5"), ("7", "str '7'"), (True, "bool True")])
+    def test_random_search_refuses_a_seed_that_is_not_an_int(self, seed, shown):
+        with pytest.raises(ParameterError, match=f"seed must be an int, got {shown}"):
+            search_table(3, 1, BalanceSpec(4, 2), trials=3, seed=seed)
+
+    def test_random_search_takes_numpy_integer_seeds(self):
+        # the seed reaches the pool hash and the provenance as a Python int
+        for seed in (np.int64(5), np.uint64(2**64 - 1)):
+            got = search_table(3, 1, BalanceSpec(6, 2), "random", trials=300, seed=seed)
+            assert_same_search(got, search_table(3, 1, BalanceSpec(6, 2), "random", trials=300, seed=int(seed)))
+
     def test_search_checks_dimensions_before_drawing(self):
         with pytest.raises(ParameterError, match="n >= 1"):
             search_table(-1, 1, SPEC34)
@@ -1342,6 +1365,8 @@ class TestRandomCells:
     @example(seed=2**64, start=0, size=4, n=2, m=3)
     @example(seed=2**96 + 5, start=0, size=4, n=2, m=17)
     @example(seed=2**130, start=2**40, size=3, n=2, m=9)
+    @example(seed=2**256 + 3, start=0, size=3, n=2, m=4)
+    @example(seed=2**256 + 3, start=2**32 - 2, size=5, n=2, m=11)
     def test_matches_per_trial_generators(self, seed, start, size, n, m):
         # entropy [seed, t] is seed's 32-bit words then t's: 2 to 7 words,
         # so some run past SeedSequence's 4-word pool
@@ -1355,6 +1380,18 @@ class TestRandomCells:
         start = 2**32 - 3
         got = btable._random_cells(seed, start, start + 6, 4, 3)
         np.testing.assert_array_equal(got, per_trial_cells(seed, start, start + 6, 4, 3))
+
+    def test_builds_no_seed_sequence(self, monkeypatch):
+        # the chunk's pools are hashed in numpy, never by numpy's SeedSequence
+        cases = [(2026, 0, 40, 8, 2), (2**96 + 5, 2**32 - 3, 2**32 + 3, 4, 3), (2**256 + 3, 7, 12, 2, 31)]
+        want = [per_trial_cells(*case) for case in cases]
+
+        def refused(*args, **kwargs):
+            raise AssertionError("_random_cells built a SeedSequence")
+
+        monkeypatch.setattr(np.random, "SeedSequence", refused)
+        for case, cells in zip(cases, want):
+            np.testing.assert_array_equal(btable._random_cells(*case), cells)
 
     def test_integers_keeps_the_top_bits_of_raw_words(self):
         # _random_cells rebuilds Generator.integers from PCG64's raw words:

@@ -19,7 +19,7 @@ from kextract.condense import (
     verify_balance,
 )
 from kextract.errors import ParameterError, ResourceError
-from kextract.gf2n import field_params, mul_bits
+from kextract.gf2n import field_params, multiples, mul_bits
 from kextract.schedule import CondenseSchedule
 
 
@@ -231,6 +231,21 @@ class TestStandinTable:
             for m in sorted({1, (n + 1) // 2, n}):
                 t = standin_table(n, m)
                 assert np.array_equal(t.cells, want & ((1 << m) - 1)), (n, m)
+
+    def test_matches_the_multiples_basis(self):
+        # row 2^a as gf2n.multiples(2^a), then rows 2^a + k as row 2^a XOR
+        # row k: the construction the numpy doubling replaced
+        for n in range(1, DENSE_LIMIT_N + 1):
+            params = field_params(n)
+            N = 1 << n
+            want = np.zeros((N, N), dtype=np.uint32)
+            for a in range(n):
+                row = 1 << a
+                want[row] = multiples(row, N, params)
+                np.bitwise_xor(want[1:row], want[row], out=want[row + 1:2 * row])
+            assert np.array_equal(standin_table(n, n).cells, want), n
+            want &= 1
+            assert np.array_equal(standin_table(n, 1).cells, want), n
 
     def test_sampled_cells_at_dense_limit(self):
         t = standin_table(DENSE_LIMIT_N, 7)
