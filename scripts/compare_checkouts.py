@@ -48,6 +48,18 @@ search`` runs at n = 3 and 4 with seeds 2^32 - 1, 2^32, 2^64 + 5 and
 seed's words then the trial's, takes every length from 2 to 5 words
 and the pool hash mixes a fifth word in.
 
+The wide-color points come last: exhaustive and sampled ``table
+verify`` on n = 2, m = 3, on n = 3, m = 8 and on n = 2, m = 31 tables,
+and random ``table search`` at n = 2, m = 3 and at n = 1, m = 31.  Each
+reaches a check with more labels than its grids hold cells, where the
+scan counts only the labels that occur, renumbered, and reports them in
+the caller's numbering: the single-color check at m = 8 and m = 31 (256
+and 2^31 colors on 64 and 16 cells), and at m = 3 the pair check (64
+pair labels on 16 cells), which the n = 2, m = 3 table reaches because
+each color fills two of its cells, and the search on every stack of
+fewer than four tables that passes the single-color check; larger
+stacks, with 64 cells or more, scan their pair labels as given.
+
 Example:
     python scripts/compare_checkouts.py ../parent .
     python scripts/compare_checkouts.py . . --points 8
@@ -146,6 +158,20 @@ SEED_WORDS = [
     for k, (seed, (n, S)) in enumerate(itertools.product([2**32 - 1, 2**32, 2**64 + 5, 2**96 + 5], [(3, 4), (4, 8)]))
 ]
 
+# (n, m, S, palette) of the wide-color tables, each cell a palette color
+# in equal shares: each table has a check with more labels than cells,
+# where the scan renumbers the labels that occur (see the module docstring)
+WIDE_COLOR_TABLES = [(2, 3, 3, range(8)), (3, 8, 3, range(0, 256, 37)), (2, 31, 2, (7, 2**30 + 5, 2**31 - 1))]
+
+WIDE_COLORS = [
+    f"table verify --table x{k}.ktb --S {S} --shift-bound 3{mode}"
+    for k, (_, _, S, _) in enumerate(WIDE_COLOR_TABLES)
+    for mode in ("", f" --mode sampled --trials 5 --seed {k}")
+] + [
+    "table search --n 2 --m 3 --S 4 --shift-bound 2 --trials 40 --seed 3 --out x3.ktb",
+    "table search --n 1 --m 31 --S 1 --shift-bound 2 --trials 20 --seed 5 --out x4.ktb",
+]
+
 
 def _points() -> list:
     verify, search, condense, wide = [], [], [], []
@@ -169,7 +195,7 @@ def _points() -> list:
                  f"condense verify --table w{k}.ktb --delta 0.45 --epsilon 0.25 --c 1 --colors 1 --budget {10**11}"]
     wide.append(f"table search --n 5 --m 1 --S 5 --shift-bound 2 --trials 3 --seed 0 --budget {10**11} --out w.ktb")
     kinds = itertools.zip_longest(verify, search, condense, wide, FIELD, SCHEDULE, DIST)
-    return [line for line in itertools.chain.from_iterable(kinds) if line] + SEARCH_CHUNKS + SEED_WORDS
+    return [line for line in itertools.chain.from_iterable(kinds) if line] + SEARCH_CHUNKS + SEED_WORDS + WIDE_COLORS
 
 
 POINTS = _points()
@@ -199,6 +225,10 @@ def _write_inputs() -> None:
     for k, (m, used, seed) in enumerate(WIDE):
         cells = random.Random(seed)
         files[f"w{k}.ktb"] = _kxtb(5, m, [cells.randrange(used) for _ in range(1 << 10)])
+    for k, (n, m, _, palette) in enumerate(WIDE_COLOR_TABLES):
+        cells = [palette[i % len(palette)] for i in range(1 << 2 * n)]
+        random.Random(k).shuffle(cells)
+        files[f"x{k}.ktb"] = _kxtb(n, m, cells)
     # 2^17 lines of 15 bytes, so line 100000 is in the second TEXT_CHUNK
     lines = [f"{v:05x} 1/131072\n" for v in range(1 << 17)]
     big = "bits 17\n" + "".join(lines)

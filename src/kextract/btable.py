@@ -33,11 +33,8 @@ from the label's counts per row and per column alone; a check whose
 bound is at most its allowed count passes with no scan, and only the
 checks it leaves open meet the budget.  ``search_table`` walks the same
 list over stacks of candidate tables, behind one budget gate and without
-the certificate.  On random n=3, m=2, S=6 tables it closes about 73% of
-single-color checks and no pair check, yet computed for a whole chunk in
-one pass it made searches slower (40 seeded searches at n=3-4, on a
-2-core Xeon: 90 -> 100 ms in ``_first_misses``, and within noise when run
-on single-color checks only): the scan it spares is already cheap.
+the certificate: on random tables it closes no pair check, and the
+single-color scans it would spare are already cheap.
 
 Both modes run one kernel, ``_scan_blocks``: per row subset B1 and
 label, the sum of the S largest per-column counts, exactly the maximum
@@ -46,11 +43,11 @@ over all size-S column subsets.  The mode picks only the row subsets
 order (exhaustive, a proof, and sampled runs with trials >= C(N, S)), or
 ``trials`` random ones keyed by the seed, or by [seed, i, j] for pair
 (i, j) (sampled, which can only refute).  The walk over all of them
-slices ``_lex_subsets(N, S)``, every subset in one read-only uint8 table
-built in numpy and kept in an LRU cache of SUBSET_TABLE_CACHE tables, so
-the checks of one process that share (N, S) build it once; a walk whose
-table would pass SUBSET_TABLE_ENTRIES entries streams
-``itertools.combinations`` instead, the same subsets in the same blocks.
+reads one ``itertools.combinations`` stream: ``_lex_subsets(N, S)``
+holds all of it in one read-only uint8 table, kept in an LRU cache of
+SUBSET_TABLE_CACHE tables, so the checks of one process that share
+(N, S) build it once; a walk whose table would pass SUBSET_TABLE_ENTRIES
+entries reads the stream block by block instead.
 A witness is B1, its richest columns (``_top_columns``) and its exact
 count.  The kernel scans a stack of T grids in blocks of row subsets
 that start at SCAN_BLOCK_ENTRIES >> 4 counts and double up to
@@ -70,7 +67,8 @@ numpy's SeedSequence entropy hash on the whole chunk at once, so does
 the pools' output hash, and one reused PCG64 takes each trial's state
 in turn and writes its raw words straight into the chunk's cells.  A check
 with more labels than its grids hold cells (wide colors, m up to 31)
-scans only the labels present, renumbered in order by ``_compact``.
+scans only the labels present, which ``_first_violation`` renumbers in
+order and maps back.
 """
 
 from __future__ import annotations
@@ -256,28 +254,14 @@ def _check_budget(N: int, S: int, budget: Optional[int], what: str) -> None:
 @functools.lru_cache(maxsize=SUBSET_TABLE_CACHE)
 def _lex_subsets(N: int, S: int) -> np.ndarray:
     """All C(N, S) size-S subsets of range(N) in lexicographic order, one
-    per row of a read-only uint8 array (uint16 for N > 256).  It is built
-    from the last element back: the j-element tails of the subsets are
-    the j-subsets of range(S - j, N), sorted by first element, so those
-    that start at a are a followed by a slice of the (j - 1)-element
-    tails, the ones whose first element exceeds a.  Each level is at
-    most as large as the next, so the build holds two levels at a time
-    and makes no Python object per subset."""
+    per row of a read-only uint8 array (uint16 for N > 256): the
+    ``itertools.combinations`` stream that walks past the cap read, held
+    whole."""
     dtype = np.uint8 if N <= 256 else np.uint16
-    tails = np.arange(S - 1, N, dtype=dtype).reshape(-1, 1)
-    for j in range(2, S + 1):
-        heads = range(S - j, N - j + 1)
-        starts = np.searchsorted(tails[:, 0], heads, side="right").tolist()
-        table = np.empty((sum(len(tails) - s for s in starts), j), dtype)
-        at = 0
-        for a, s in zip(heads, starts):
-            end = at + len(tails) - s
-            table[at:end, 0] = a
-            table[at:end, 1:] = tails[s:]
-            at = end
-        tails = table
-    tails.setflags(write=False)
-    return tails
+    entries = itertools.chain.from_iterable(itertools.combinations(range(N), S))
+    table = np.fromiter(entries, dtype, math.comb(N, S) * S).reshape(-1, S)
+    table.setflags(write=False)
+    return table
 
 
 def _scan_blocks(grids: np.ndarray, K: int, S: int, rows=None, most=None):
@@ -289,23 +273,24 @@ def _scan_blocks(grids: np.ndarray, K: int, S: int, rows=None, most=None):
     A stack that needs over SCAN_BLOCK_LIMIT counts a row subset is
     refused before anything is allocated.
 
-    The default walk's blocks are read-only slices of the cached
-    ``_lex_subsets(N, S)`` while its C(N, S) * S entries are at most
-    SUBSET_TABLE_ENTRIES; past that they are built from a lazy
-    ``itertools.combinations``, one tuple a subset, which never holds
-    more than a block.  Whatever the source, the first block holds
+    The default walk reads ``itertools.combinations``: as read-only
+    slices of the cached ``_lex_subsets(N, S)`` while its C(N, S) * S
+    entries are at most SUBSET_TABLE_ENTRIES, else straight from the
+    stream, one block at a time.  The first block holds
     SCAN_BLOCK_ENTRIES >> 4 counts (at least one subset), so a scan that
     stops in it wastes at most that many, and each next block doubles up
     to SCAN_BLOCK_ENTRIES counts for the grids still in the scan.
 
-    Given ``most`` and K < N, a row subset whose every label total over
-    its rows is at most ``most`` is screened: its column counts are not
-    filled, and its tops are those totals, which bound the exact ones (a
-    label's S richest columns hold at most all of it) and are at most
-    ``most``.  So tops is exact wherever it exceeds ``most``.  Per-row
-    label counts cost T*N*K, at most one grid; at K >= N the totals
-    would cost what the counts they could skip cost, so there is no
-    screen."""
+    Every block is filled one way: the (grid, subset) entries that are
+    open get their column counts, partitioned in place, and their tops.
+    With no screen every entry is open.  Given ``most`` and K < N, an
+    entry whose every label total over its rows is at most ``most`` is
+    screened: it stays closed, and its tops are those totals, which bound
+    the exact ones (a label's S richest columns hold at most all of it)
+    and are at most ``most``.  So tops is exact wherever it exceeds
+    ``most``.  Per-row label counts cost T*N*K, at most one grid; at K >=
+    N the totals would cost what the counts they could skip cost, so
+    there is no screen."""
     T, N = grids.shape[:2]
     if T * K * N > SCAN_BLOCK_LIMIT:
         raise ResourceError(f"a scan block needs {T * K * N} counts for one row subset, "
@@ -334,25 +319,22 @@ def _scan_blocks(grids: np.ndarray, K: int, S: int, rows=None, most=None):
         if not len(subsets):
             return
         T, B = len(slots), len(subsets)
-        if lines is None:  # count every (grid, subset)
-            shape, rows_at = (T, B), lambda p: slots[:, subsets[:, p]]
-        else:  # count only the (grid, subset) entries the totals leave open
+        if lines is None:  # no screen: every (grid, subset) entry is open
+            tops = np.empty((T, B, K), dtype=np.int64)
+            fill = np.ones((T, B), dtype=bool)
+        else:  # open only the entries whose label totals pass most
             rows_in = np.zeros((B, N), dtype=np.int64)
             rows_in[np.arange(B).reshape(-1, 1), subsets] = 1
             tops = rows_in @ lines  # (T, B, K) label totals over each subset's rows
-            t, b = np.nonzero((tops > most).any(axis=2))
-            shape, rows_at = (len(t),), lambda p: slots[t, subsets[b, p]]
-        counts = np.zeros((*shape, K, N), dtype=np.uint16)
+            fill = (tops > most).any(axis=2)
+        t, b = np.nonzero(fill)
+        counts = np.zeros((len(t), K, N), dtype=np.uint16)
         flat = counts.reshape(-1)
-        base = np.arange(math.prod(shape)).reshape(*shape, 1) * (N * K)
+        base = np.arange(len(t)).reshape(-1, 1) * (N * K)
         for p in range(S):  # one row per subset, so no index repeats
-            flat[base + rows_at(p)] += 1
+            flat[base + slots[t, subsets[b, p]]] += 1
         counts.partition(N - S, axis=-1)  # in place: np.partition would copy the block
-        top = counts[..., N - S:].sum(axis=-1, dtype=np.int64)
-        if lines is None:
-            tops = top
-        else:
-            tops[t, b] = top
+        tops[t, b] = counts[..., N - S:].sum(axis=-1, dtype=np.int64)
         keep = yield subsets, tops
         if keep is not None:
             slots = slots[keep]
@@ -364,8 +346,8 @@ def _scan_blocks(grids: np.ndarray, K: int, S: int, rows=None, most=None):
 def _top_columns(grid, B1, label, S: int) -> tuple:
     """A worst column subset: the S columns richest in label on rows B1."""
     counts = (grid[list(B1)] == label).sum(axis=0)
-    order = sorted(range(len(counts)), key=lambda y: (-int(counts[y]), y))
-    return tuple(sorted(order[:S]))
+    order = np.argsort(-counts, kind="stable")  # ties keep the lower column first
+    return tuple(sorted(order[:S].tolist()))
 
 
 def _first_violation(grids, K, S, most, rows=None) -> list:
@@ -373,7 +355,14 @@ def _first_violation(grids, K, S, most, rows=None) -> list:
     (B1 in the order of ``rows``, lexicographic by default, then label),
     else None; a grid leaves the scan at its first violation.  The kernel
     screens row subsets by label totals against ``most``, which leaves
-    every count over it exact."""
+    every count over it exact.  With more labels K than the stack has
+    cells (wide colors, m up to 31), the scan counts only the labels that
+    occur, renumbered in increasing order so that its counts fit; the
+    labels it returns are the caller's."""
+    labels = range(K)
+    if K > grids.size:
+        labels, inverse = np.unique(grids, return_inverse=True)
+        grids, K = inverse.reshape(grids.shape), len(labels)
     found = [None] * len(grids)
     live = np.arange(len(grids))
     blocks = _scan_blocks(grids, K, S, rows, most)
@@ -388,7 +377,7 @@ def _first_violation(grids, K, S, most, rows=None) -> list:
                 first = over.argmax(axis=1)
                 for t in np.flatnonzero(hit):
                     b, label = divmod(int(first[t]), K)
-                    found[live[t]] = tuple(subsets[b].tolist()), label, int(tops[t, b, label])
+                    found[live[t]] = tuple(subsets[b].tolist()), int(labels[label]), int(tops[t, b, label])
                 keep = ~hit
                 live = live[keep]
     except StopIteration:
@@ -463,27 +452,35 @@ def _marginal_bound(grid: np.ndarray, S: int) -> int:
     return int(rows.max())
 
 
-def check_mode(mode: str, trials: int, seed) -> Optional[int]:
+def _integer(name: str, value) -> int:
+    """value as a Python int (numpy integers too); a bool, a float or a
+    string is a ParameterError."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ParameterError(f"{name} must be an int, got {type(value).__name__} {value!r}")
+
+
+def check_mode(mode: str, trials: int, seed) -> tuple[int, Optional[int]]:
     """A check runs exhaustive or sampled; sampled (random) trials need a
-    positive count and a seed that is None or a nonnegative integer (not
-    a bool).  Returns the seed, as a Python int when sampled."""
+    positive int count and a seed that is None or a nonnegative int,
+    where a bool is not an int.  Returns (trials, seed), as Python ints
+    when sampled."""
     if mode not in ("exhaustive", "sampled"):
         raise ParameterError(f"unknown mode {mode!r}")
     if mode != "sampled":
-        return seed
+        return trials, seed
+    trials = _integer("trials", trials)
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     if seed is None:
-        return None
-    try:
-        index = operator.index(seed)  # numpy integers too
-    except TypeError:
-        index = None
-    if index is None or isinstance(seed, bool):
-        raise ParameterError(f"seed must be an int, got {type(seed).__name__} {seed!r}")
-    if index < 0:
-        raise ParameterError(f"seed must be >= 0, got {index}")
-    return index
+        return trials, None
+    seed = _integer("seed", seed)
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
+    return trials, seed
 
 
 def row_subsets(N: int, S: int, mode: str, trials: int, seed, budget, what: str, pair=None):
@@ -510,17 +507,6 @@ def _labels(cells: np.ndarray, M: int, pair) -> np.ndarray:
     rows = np.arange(cells.shape[-2])
     shifted = lambda k: cells[..., (rows + k) % len(rows), :].astype(np.int64)
     return shifted(pair[0]) * M + shifted(pair[1])
-
-
-def _compact(grids: np.ndarray, K: int):
-    """(grids, K, labels) for a scan: as given, with labels range(K), when
-    K is at most the number of cells; else the labels that occur,
-    renumbered from 0 in increasing order so the scan's counts fit its
-    cells.  labels[k] is the label that scan label k stands for."""
-    if K <= grids.size:
-        return grids, K, range(K)
-    labels, inverse = np.unique(grids, return_inverse=True)
-    return inverse.reshape(grids.shape), len(labels), labels
 
 
 def _checks(M: int, spec: BalanceSpec, only: Optional[str] = None):
@@ -552,18 +538,16 @@ def _verify(table, spec, condition, mode, trials, seed, budget) -> VerifyResult:
     mode picks only the row subsets each check's scan walks."""
     S, N, M = spec.S, table.N, table.M
     spec.check_fits(N)
-    seed = check_mode(mode, trials, seed)
+    trials, seed = check_mode(mode, trials, seed)
     for _, K, pair, most in _checks(M, spec, condition):
         grid = _labels(table.cells, M, pair)
         if _marginal_bound(grid, S) <= most:  # no rectangle can exceed most
             continue
         rows = row_subsets(N, S, mode, trials, seed, budget, f"{condition} verification", pair)
-        grid, K, labels = _compact(grid, K)
         first = _first_violation(grid[None], K, S, most, rows)[0]
         if first is not None:
             B1, label, count = first
             B2 = _top_columns(grid, B1, label, S)
-            label = int(labels[label])
             colors = (label,) if pair is None else (label // M, label % M, *pair)
             return VerifyResult(False, (B1, B2, *colors), count)
     return VerifyResult(True)
@@ -617,9 +601,8 @@ def _first_misses(cells: np.ndarray, M: int, spec: BalanceSpec) -> list:
     for condition, K, pair, most in _checks(M, spec):
         if not live:
             break
-        grids, scan_K, _ = _compact(_labels(cells[live], M, pair), K)
-        for t, hit in zip(live, _first_violation(grids, scan_K, S, most)):
-            if hit is not None:  # the ratio's K is the check's, not the scan's
+        for t, hit in zip(live, _first_violation(_labels(cells[live], M, pair), K, S, most)):
+            if hit is not None:
                 misses[t] = hit[2] * K / (2 * S * S), condition
         live = [t for t in live if misses[t] is None]
     return misses
@@ -759,7 +742,7 @@ def search_table(
     check_dims(n, m)
     N, M = 1 << n, 1 << m
     if strategy == "random":
-        seed = check_mode("sampled", trials, seed)
+        trials, seed = check_mode("sampled", trials, seed)
         if seed is None:
             seed = secrets.randbits(63)
         total = trials

@@ -90,7 +90,7 @@ def verify_balance(
         if not 0 <= a < M:
             raise ParameterError(f"color {a} not in 0..{M - 1}")
     R = math.ceil(2.0 ** (delta * table.n))  # <= N, since delta <= 1
-    seed = check_mode(mode, trials, seed)  # before an infinite bound returns early
+    trials, seed = check_mode(mode, trials, seed)  # before an infinite bound returns early
     bound = color_bound_fraction(len(A), M, delta, epsilon, c) * R * R
     if bound == math.inf:  # no count reaches it: nothing to scan
         return BalanceReport(True, 0.0)

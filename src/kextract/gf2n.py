@@ -72,14 +72,6 @@ _LEAST_IRREDUCIBLE = {
 }
 
 
-def _poly_mod(a: int, b: int) -> int:
-    """Remainder of carry-less division of polynomial a by b."""
-    db = b.bit_length()
-    while a.bit_length() >= db:
-        a ^= b << (a.bit_length() - db)
-    return a
-
-
 class _Field(NamedTuple):
     n: int
     modulus: int
@@ -182,5 +174,8 @@ def inverse_bits(a: int, params: FieldParams) -> int:
             continue
         r0 ^= r1 << shift
         t0 ^= t1 << shift
-    # r0 is now gcd(modulus, a) = 1, so t0 * a = 1 (mod modulus).
-    return _poly_mod(t0, params.modulus)
+    # r0 is now gcd(modulus, a) = 1, so t0 * a = 1 (mod modulus).  Every
+    # step keeps deg(t0) + deg(r1) <= n and deg(t1) + deg(r0) <= n, and
+    # t0 is the t1 that stood beside r1 = 1 while r0 still had degree >= 1,
+    # so t0 already has degree < n: no final reduction.
+    return t0

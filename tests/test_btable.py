@@ -415,6 +415,17 @@ class TestScanKernel:
         with pytest.raises(ParameterError, match=f"seed must be an int, got {shown}"):
             verify_color_bound(t, SPEC34, "sampled", trials=5, seed=seed)
 
+    @pytest.mark.parametrize("trials,shown", [(2.5, "float 2.5"), ("3", "str '3'"), (True, "bool True")])
+    def test_sampled_verify_refuses_trials_that_are_not_an_int(self, trials, shown):
+        t = random_table(3, 2, 0)
+        with pytest.raises(ParameterError, match=f"trials must be an int, got {shown}"):
+            verify_shift_pair_bound(t, SPEC34, "sampled", trials=trials, seed=1)
+
+    def test_sampled_verify_takes_numpy_integer_trials(self):
+        t = random_table(3, 2, 0)
+        got = verify_shift_pair_bound(t, BalanceSpec(3, 2), "sampled", trials=np.int64(5), seed=1)
+        assert got == verify_shift_pair_bound(t, BalanceSpec(3, 2), "sampled", trials=5, seed=1)
+
     def test_sampled_verify_takes_numpy_integer_seeds(self):
         t = random_table(3, 2, 0)
         for seed in (np.int64(9), np.uint64(2**64 - 1)):
@@ -576,7 +587,7 @@ class TestLexSubsetTable:
     @pytest.mark.parametrize("S", [2, 3, 4, 6, 8, 12])
     def test_build_at_the_cap_peaks_under_twice_its_bytes(self, S):
         # N is the largest with C(N, S) * S entries within the cap (N = 512
-        # at S = 2, uint16); each level of the build is one slice copy per head
+        # at S = 2, uint16); the build writes the stream into an array of its size
         cap = btable.SUBSET_TABLE_ENTRIES
         N = max(N for N in range(S, 1025) if math.comb(N, S) * S <= cap)
         tracemalloc.start()
@@ -1178,6 +1189,17 @@ class TestSearch:
         with pytest.raises(ParameterError, match=f"seed must be an int, got {shown}"):
             search_table(3, 1, BalanceSpec(4, 2), trials=3, seed=seed)
 
+    @pytest.mark.parametrize("trials,shown", [(2.5, "float 2.5"), ("3", "str '3'"), (True, "bool True")])
+    def test_random_search_refuses_trials_that_are_not_an_int(self, trials, shown):
+        with pytest.raises(ParameterError, match=f"trials must be an int, got {shown}"):
+            search_table(3, 1, BalanceSpec(4, 2), trials=trials, seed=1)
+
+    def test_random_search_takes_numpy_integer_trials(self):
+        # the failure reports its trials as a Python int
+        got = search_table(3, 2, BalanceSpec(6, 2), "random", trials=np.int64(3), seed=1)
+        assert_same_search(got, search_table(3, 2, BalanceSpec(6, 2), "random", trials=3, seed=1))
+        assert type(got.trials) is int and str(got).startswith("no balanced table in 3 trials")
+
     def test_random_search_takes_numpy_integer_seeds(self):
         # the seed reaches the pool hash and the provenance as a Python int
         for seed in (np.int64(5), np.uint64(2**64 - 1)):
@@ -1309,11 +1331,32 @@ class TestWideLabels:
         assert got == want
         assert got == oracles.per_trial_search(n, m, spec, "random", trials=trials, seed=4)
 
-    def test_few_labels_skip_the_renumbering(self):
-        grid = random_table(3, 2, 1).cells
-        assert btable._compact(grid, 16)[0] is grid
-        assert btable._compact(grid, 64)[0] is grid
-        assert btable._compact(grid[None], 64)[2] == range(64)
+    def test_few_labels_skip_the_renumbering(self, monkeypatch):
+        # K at most the stack's cells (64: one 8 x 8 grid, or four 4 x 4
+        # grids): the scan runs on the labels as given
+        grid = random_table(3, 2, 1).cells.astype(np.int64)
+        stack = np.random.default_rng(2).integers(0, 6, size=(4, 4, 4))
+        want = [oracles.lex_exhaustive_scan(grid, K, 3, lambda c: c > 1) for K in (16, 64)]
+        want_stack = [oracles.dict_first_violation(g.tolist(), 2, 1) for g in stack]
+
+        def no_unique(*args, **kwargs):
+            raise AssertionError("np.unique called: the labels were renumbered")
+
+        monkeypatch.setattr(np, "unique", no_unique)
+        for K, w in zip((16, 64), want):
+            assert btable._first_violation(grid[None], K, 3, 1) == [(w[0], w[2], w[3])]
+        assert btable._first_violation(stack, 64, 2, 1) == [w and (w[0], w[2], w[3]) for w in want_stack]
+
+    def test_many_labels_come_back_in_the_callers_numbering(self):
+        # K = 2^62 pair labels on 2 x 16 cells: the scan counts the three
+        # labels that occur, renumbered, and returns them as given
+        palette = np.array([5, 2**40 + 3, 2**61 + 7], np.int64)
+        grids = palette[np.random.default_rng(3).integers(0, 3, size=(2, 4, 4))]
+        grids[1] = palette[2]  # grid 1 holds only the last label
+        want = [oracles.dict_first_violation(g.tolist(), 2, 0) for g in grids]
+        got = btable._first_violation(grids, 1 << 62, 2, 0)
+        assert got == [(w[0], w[2], w[3]) for w in want]
+        assert {label for _, label, _ in got} <= set(palette.tolist())
 
     @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
     def test_31_bit_colors(self, mode):

@@ -125,6 +125,17 @@ class TestVerifyBalance:
         with pytest.raises(ParameterError):  # an infinite bound, so nothing is sampled
             verify_balance(t, 1, 0.001, 4, range(4), "sampled", trials=trials, seed=seed)
 
+    @pytest.mark.parametrize("trials,shown", [(2.5, "float 2.5"), ("3", "str '3'"), (True, "bool True")])
+    def test_sampled_refuses_trials_that_are_not_an_int(self, trials, shown):
+        t = standin_table(4, 2)
+        with pytest.raises(ParameterError, match=f"trials must be an int, got {shown}"):
+            verify_balance(t, 0.5, 0.25, 1, [0], "sampled", trials=trials, seed=1)
+
+    def test_sampled_takes_numpy_integer_trials(self):
+        t = standin_table(4, 2)
+        got = verify_balance(t, 0.5, 0.25, 1, [0], "sampled", trials=np.int64(5), seed=1)
+        assert got == verify_balance(t, 0.5, 0.25, 1, [0], "sampled", trials=5, seed=1)
+
     def test_budget(self):
         with pytest.raises(ResourceError):
             verify_balance(random_table(3, 1, 0), 2 / 3, 0.5, 1, [0], budget=3)
