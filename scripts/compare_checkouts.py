@@ -60,6 +60,16 @@ each color fills two of its cells, and the search on every stack of
 fewer than four tables that passes the single-color check; larger
 stacks, with 64 cells or more, scan their pair labels as given.
 
+The wide condenser points close the list: ``condense verify`` and
+``condense deficit`` on two n = 2, m = 20 tables, one of four colors in
+equal shares and one of sixteen random colors.  ``condense verify``
+runs with no ``--colors``, so every one of the 2^20 colors, exhaustive,
+sampled and at ``--budget 1``, and with two of the colors that occur;
+``condense deficit`` runs on the whole table and on two rows by three
+columns.  None of them is wider than m = 20, so a checkout that builds
+an array with an entry per color still runs them in well under a
+second.
+
 Example:
     python scripts/compare_checkouts.py ../parent .
     python scripts/compare_checkouts.py . . --points 8
@@ -172,6 +182,18 @@ WIDE_COLORS = [
     "table search --n 1 --m 31 --S 1 --shift-bound 2 --trials 20 --seed 5 --out x4.ktb",
 ]
 
+# the palettes of the n = 2, m = 20 tables of the wide condenser points,
+# each cell a palette color in equal shares (see the module docstring)
+CONDENSE_PALETTES = [(7, 2**19 + 1, 2**20 - 1, 77777), tuple(random.Random(20).sample(range(2**20), 16))]
+
+WIDE_CONDENSE = [
+    line
+    for k, palette in enumerate(CONDENSE_PALETTES)
+    for line in [f"condense verify --table z{k}.ktb --delta 0.5 --epsilon 0.25 --c 1{flags}" for flags in (
+        "", f" --mode sampled --trials 3 --seed {k}", " --budget 1", f" --colors {palette[1]},{palette[0]}",
+    )] + [f"condense deficit --table z{k}.ktb", f"condense deficit --table z{k}.ktb --rows 0,3 --cols 1,2,3"]
+]
+
 
 def _points() -> list:
     verify, search, condense, wide = [], [], [], []
@@ -195,7 +217,7 @@ def _points() -> list:
                  f"condense verify --table w{k}.ktb --delta 0.45 --epsilon 0.25 --c 1 --colors 1 --budget {10**11}"]
     wide.append(f"table search --n 5 --m 1 --S 5 --shift-bound 2 --trials 3 --seed 0 --budget {10**11} --out w.ktb")
     kinds = itertools.zip_longest(verify, search, condense, wide, FIELD, SCHEDULE, DIST)
-    return [line for line in itertools.chain.from_iterable(kinds) if line] + SEARCH_CHUNKS + SEED_WORDS + WIDE_COLORS
+    return [line for line in itertools.chain.from_iterable(kinds) if line] + SEARCH_CHUNKS + SEED_WORDS + WIDE_COLORS + WIDE_CONDENSE
 
 
 POINTS = _points()
@@ -229,6 +251,10 @@ def _write_inputs() -> None:
         cells = [palette[i % len(palette)] for i in range(1 << 2 * n)]
         random.Random(k).shuffle(cells)
         files[f"x{k}.ktb"] = _kxtb(n, m, cells)
+    for k, palette in enumerate(CONDENSE_PALETTES):
+        cells = [palette[i % len(palette)] for i in range(16)]
+        random.Random(k).shuffle(cells)
+        files[f"z{k}.ktb"] = _kxtb(2, 20, cells)
     # 2^17 lines of 15 bytes, so line 100000 is in the second TEXT_CHUNK
     lines = [f"{v:05x} 1/131072\n" for v in range(1 << 17)]
     big = "bits 17\n" + "".join(lines)

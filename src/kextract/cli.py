@@ -5,10 +5,11 @@ search, or a DEPENDENT verdict), 2 usage, parameter, input or budget
 error, 3 internal error (any other exception, reported in one line).
 
 Strings are lowercase hex with no prefix; an n-bit input is n/4 hex
-digits.  Inputs whose bit length is not a multiple of 4 come from raw
-binary files (--x1-file/--x2-file/--x-file/--y-file with --bits),
-read most-significant bit first.  Every randomized run prints its seed,
-and rerunning with the same seed reproduces the output byte for byte.
+digits.  table apply and condense apply also read their two inputs
+from raw binary files (--x1-file/--x2-file with --bits), read
+most-significant bit first, for lengths that are not a multiple of 4;
+extend takes hex only.  Every randomized run prints its seed, and
+rerunning with the same seed reproduces the output byte for byte.
 The KEXTRACT_BUDGET environment variable overrides default enumeration
 budgets; --budget overrides both.
 
@@ -229,9 +230,7 @@ def _cmd_condense_verify(args) -> int:
     from . import btable, condense, schedule
 
     table = btable.read_table(args.table)
-    colors = (
-        range(table.M) if args.colors is None else _int_list(args.colors, "--colors")
-    )
+    colors = None if args.colors is None else _int_list(args.colors, "--colors")
     c = schedule.DEFAULT_C if args.c is None else args.c
     kw = _verify_kw(args)
     report = condense.verify_balance(

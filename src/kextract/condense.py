@@ -61,7 +61,7 @@ def verify_balance(
     delta: float,
     epsilon: float,
     c: int,
-    colors: Iterable[int],
+    colors: Optional[Iterable[int]],
     mode: str = "exhaustive",
     *,
     trials: int = 1000,
@@ -70,12 +70,14 @@ def verify_balance(
 ) -> BalanceReport:
     """Check the A-colored cell bound on all rectangles with sides of
     size exactly ceil(2^(delta*n)); larger rectangles follow by the
-    averaging argument.  Both modes take ``btable.richest_rectangle`` of
-    the A-indicator grid, where worst_ratio and the witness come from the
-    first row subset that reaches the largest count, with its richest
-    columns.  Exhaustive mode scans all row subsets in lexicographic
-    order; sampled mode ``trials`` random ones keyed by the seed, so its
-    worst_ratio only bounds the exhaustive one from below.  The budget
+    averaging argument.  A is ``colors``, or all M colors for None, with
+    no color set built and an all-ones indicator grid.  Both modes take
+    ``btable.richest_rectangle`` of the A-indicator grid, where
+    worst_ratio and the witness come from the first row subset that
+    reaches the largest count, with its richest columns.  Exhaustive
+    mode scans all row subsets in lexicographic order; sampled mode
+    ``trials`` random ones keyed by the seed, so its worst_ratio only
+    bounds the exhaustive one from below.  The budget
     (``btable.row_subsets``) is met before the grid is built.
     """
     if not 0 < delta <= 1:  # NaN fails each of these tests
@@ -85,17 +87,20 @@ def verify_balance(
     if not c >= 1:
         raise ParameterError(f"c={c} must be >= 1")
     N, M = table.N, table.M
-    A = sorted(set(colors))
-    for a in A:
+    A = None if colors is None else sorted(set(colors))
+    for a in A or ():
         if not 0 <= a < M:
             raise ParameterError(f"color {a} not in 0..{M - 1}")
     R = math.ceil(2.0 ** (delta * table.n))  # <= N, since delta <= 1
     trials, seed = check_mode(mode, trials, seed)  # before an infinite bound returns early
-    bound = color_bound_fraction(len(A), M, delta, epsilon, c) * R * R
+    bound = color_bound_fraction(M if A is None else len(A), M, delta, epsilon, c) * R * R
     if bound == math.inf:  # no count reaches it: nothing to scan
         return BalanceReport(True, 0.0)
     rows = row_subsets(N, R, mode, trials, seed, budget, "colored-balance verification")
-    indicator = np.isin(table.cells, np.array(A, dtype=np.uint32)).astype(np.int64)
+    if A is None:
+        indicator = np.ones((N, N), dtype=np.int64)
+    else:
+        indicator = np.isin(table.cells, np.array(A, dtype=np.uint32)).astype(np.int64)
     best_count, best = richest_rectangle(indicator, R, rows)
     witness = best if best_count > bound else None
     return BalanceReport(witness is None, best_count / bound, witness)
@@ -150,8 +155,8 @@ def apply_condenser(x: int, y: int, table: Table, schedule: CondenseSchedule) ->
 def min_entropy_deficit(table: Table, rows: Sequence[int], cols: Sequence[int]) -> float:
     """m minus the min-entropy of T's output on uniform rows x cols.
 
-    Exact distribution by enumeration; 0 means the restricted output is
-    as spread out as an m-bit string can be.
+    Exact distribution over the colors that occur; 0 means the
+    restricted output is as spread out as an m-bit string can be.
     """
     rows = sorted(set(rows))
     cols = sorted(set(cols))
@@ -161,6 +166,5 @@ def min_entropy_deficit(table: Table, rows: Sequence[int], cols: Sequence[int]) 
         if not 0 <= v < table.N:
             raise ParameterError(f"index {v} outside 0..{table.N - 1}")
     values = table.cells[np.ix_(rows, cols)].ravel()
-    counts = np.bincount(values, minlength=table.M)
-    dist = stats.Dist(table.m, np.arange(len(counts)), counts)
+    dist = stats.Dist(table.m, *np.unique(values, return_counts=True))
     return table.m - stats.min_entropy(dist)

@@ -6,16 +6,17 @@ x^2 + 1 and the int 5.  The all-zeros string is the additive identity
 and the int 1 (the string 0^{n-1}1) is the multiplicative identity.
 
 Each field is fixed by an irreducible modulus polynomial of degree n,
-encoded as an (n+1)-bit int with the top bit set.  The default modulus
-for each n is the lexicographically least irreducible polynomial of
-degree n, which for this encoding is the numerically smallest one, e.g.
+encoded as an (n+1)-bit int with the top bit set.  The modulus for each
+n is the lexicographically least irreducible polynomial of degree n,
+which for this encoding is the numerically smallest one, e.g.
 
     n=2 : x^2 + x + 1            -> 0b111       = 0x7
     n=3 : x^3 + x + 1            -> 0b1011      = 0xb
     n=8 : x^8 + x^4 + x^3 + x + 1 -> 0b100011011 = 0x11b
     n=64: x^64 + x^4 + x^3 + x + 1             = 0x1000000000000001b
 
-Only that table entry is accepted as the modulus for degree n.
+``FieldParams(n)`` looks that polynomial up in ``_LEAST_IRREDUCIBLE``,
+so n alone fixes the field.
 
 Elements are plain ints: addition is ``^``, ``mul_bits`` multiplies by
 one carry-less slot product (Kronecker substitution: each operand spread
@@ -78,21 +79,17 @@ class _Field(NamedTuple):
 
 
 class FieldParams(_Field):
-    """A field GF(2^n): bit length n and its vetted irreducible modulus."""
+    """The field GF(2^n): bit length n and the table modulus of degree n."""
 
     __slots__ = ()
 
-    def __new__(cls, n: int, modulus: int):
+    def __new__(cls, n: int):
         if not 1 <= n <= MAX_N:
             raise ParameterError(f"field degree n={n} outside supported range 1..{MAX_N}")
-        if modulus.bit_length() != n + 1:
-            raise ParameterError(f"modulus {modulus:#x} does not have degree exactly {n}")
-        if modulus != _LEAST_IRREDUCIBLE[n]:
-            raise ParameterError(
-                f"modulus {modulus:#x} for n={n} is not in the vetted table; "
-                f"expected {_LEAST_IRREDUCIBLE[n]:#x}"
-            )
-        return tuple.__new__(cls, (n, modulus))
+        return tuple.__new__(cls, (n, _LEAST_IRREDUCIBLE[n]))
+
+    def __getnewargs__(self):  # pickle and copy rebuild from n alone
+        return (self.n,)
 
     @property
     def order(self) -> int:
@@ -101,10 +98,8 @@ class FieldParams(_Field):
 
 @functools.lru_cache(maxsize=None)
 def field_params(n: int) -> FieldParams:
-    """The default field for bit length n (table modulus)."""
-    if not 1 <= n <= MAX_N:
-        raise ParameterError(f"field degree n={n} outside supported range 1..{MAX_N}")
-    return FieldParams(n, _LEAST_IRREDUCIBLE[n])
+    """The field of bit length n, built once per n."""
+    return FieldParams(n)
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,6 +1,7 @@
 import argparse
 import itertools
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -494,6 +495,24 @@ class TestCondenseCommands:
             "--rows", "1", "--cols", "0,1,2,3",
         )
         assert code == 0 and out == "0\n"
+
+    @pytest.mark.parametrize("argv,out", [
+        (["verify", "--delta", "1", "--epsilon", "0.25"], "OK worst_ratio=0.0615384615385\n"),
+        (["deficit"], "29\n"),
+    ])
+    def test_wide_colors_under_a_memory_cap(self, tmp_path, argv, out):
+        # n=1, m=31: a 2^31-entry color set or count array raised
+        # MemoryError (exit 3); the 3 GiB cap makes such an array fail fast
+        path = tmp_path / "w31.ktb"
+        cells = np.array([[0, 5], [2**31 - 1, 7]], np.uint32)
+        btable.write_table(btable.Table(1, 31, cells), path)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "kextract.cli", "condense", argv[0], "--table", str(path), *argv[1:]],
+            capture_output=True, text=True, timeout=60, env=env,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
 
 
 class TestEstimateCommands:

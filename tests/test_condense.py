@@ -1,6 +1,11 @@
 import itertools
 import math
+import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +23,7 @@ from kextract.condense import (
     standin_table,
     verify_balance,
 )
-from kextract.errors import ParameterError, ResourceError
+from kextract.errors import KextractError, ParameterError, ResourceError
 from kextract.gf2n import field_params, multiples, mul_bits
 from kextract.schedule import CondenseSchedule
 
@@ -27,6 +32,37 @@ def random_table(n, m, seed):
     rng = np.random.default_rng(seed)
     N = 1 << n
     return Table(n, m, rng.integers(0, 1 << m, size=(N, N), dtype=np.uint32))
+
+
+def cap_memory():
+    """Cap a child's address space at 3 GiB, so that an array with 2^31
+    entries fails fast with MemoryError instead of taking 16 GiB."""
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+# n=1, m=31: four distinct colors on the 2 x 2 grid, one of them 2^31 - 1
+WIDE_COLOR_CHECKS = """
+import numpy as np
+from kextract.btable import Table
+from kextract.condense import min_entropy_deficit, verify_balance
+t = Table(1, 31, np.array([[0, 5], [2**31 - 1, 7]], np.uint32))
+print(verify_balance(t, 1, 0.25, 2, None))
+print(min_entropy_deficit(t, range(2), range(2)))
+"""
+
+
+def test_wide_colors_need_no_array_per_color():
+    # every color of an m=31 table, and the deficit on all of it, under a
+    # 3 GiB cap: a 2^31-entry color set, indicator list or count array
+    # would raise MemoryError
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", WIDE_COLOR_CHECKS], capture_output=True, text=True,
+        timeout=60, env=env, preexec_fn=cap_memory,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # R = 2 and the bound (1 * 2^(2^2) + 1/4) * 4 = 65 on 4 cells of A
+    assert proc.stdout.splitlines() == [str(BalanceReport(True, 4 / 65, None)), "29.0"]
 
 
 class TestCondenseSchedule:
@@ -215,6 +251,31 @@ class TestVerifyBalance:
                 assert rep == BalanceReport(True, 0.0, None)
         with pytest.raises(ParameterError):
             verify_balance(t, 0.4, 0.001, 6, range(4), "fast")
+
+    @settings(max_examples=40)
+    @given(
+        n=st.integers(1, 4),
+        m=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        delta=st.sampled_from([0.25, 0.5, 0.75, 1.0]),
+        epsilon=st.sampled_from([0.01, 0.25, 0.5]),
+        c=st.integers(1, 3),
+        mode=st.sampled_from(["exhaustive", "sampled"]),
+        trials=st.integers(1, 30),
+        budget=st.sampled_from([None, 1, 30, 5000]),
+    )
+    def test_every_color_by_default(self, n, m, seed, delta, epsilon, c, mode, trials, budget):
+        # colors None runs as the explicit range(M), refusals included
+        t = random_table(n, m, seed)
+
+        def report(colors):
+            try:
+                return verify_balance(t, delta, epsilon, c, colors, mode,
+                                      trials=trials, seed=seed, budget=budget)
+            except KextractError as exc:
+                return type(exc), str(exc)
+
+        assert report(None) == report(range(t.M))
 
     def test_bound_monotone_in_color_set_size(self):
         values = [

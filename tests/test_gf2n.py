@@ -1,5 +1,7 @@
 import contextlib
+import copy
 import itertools
+import pickle
 import signal
 
 import pytest
@@ -238,30 +240,21 @@ class TestParams:
         with pytest.raises(ParameterError):
             invert_pair(8, 0, 1, 2, P3)
 
-    def test_reducible_modulus_rejected(self):
-        with pytest.raises(ParameterError):
-            FieldParams(3, 0b1111)  # x^3+x^2+x+1 = (x+1)(x^2+1)
-
-    def test_wrong_degree_rejected(self):
-        with pytest.raises(ParameterError):
-            FieldParams(3, 0b10011)
-
     def test_unsupported_n_rejected(self):
         for n in (0, 65):
             with pytest.raises(ParameterError):
                 field_params(n)
 
-    def test_unvetted_irreducible_rejected_small_n(self):
-        # x^3 + x^2 + 1 is irreducible but not the table entry, which is
-        # all that is accepted at every n
-        with pytest.raises(ParameterError, match="not in the vetted table"):
-            FieldParams(3, 0b1101)
-
-    def test_unvetted_modulus_rejected_large_n(self):
-        # x^33 + x^10 + 1 may or may not be irreducible; it is not the
-        # table entry, which is all that is accepted above n = 32
-        with pytest.raises(ParameterError):
-            FieldParams(33, (1 << 33) | (1 << 10) | 1)
+    def test_degree_fixes_the_field(self):
+        for n in range(1, 65):
+            params = FieldParams(n)
+            assert params == (n, _LEAST_IRREDUCIBLE[n])
+            assert field_params(n) is field_params(n)
+            for copied in (pickle.loads(pickle.dumps(params)), copy.deepcopy(params)):
+                assert type(copied) is FieldParams and copied == params
+        for n in (0, 65):
+            with pytest.raises(ParameterError, match=f"n={n} outside supported range 1..64"):
+                FieldParams(n)
 
     def test_vetted_table_is_irreducible(self):
         for n, modulus in _LEAST_IRREDUCIBLE.items():
