@@ -60,7 +60,7 @@ each color fills two of its cells, and the search on every stack of
 fewer than four tables that passes the single-color check; larger
 stacks, with 64 cells or more, scan their pair labels as given.
 
-The wide condenser points close the list: ``condense verify`` and
+The wide condenser points come next: ``condense verify`` and
 ``condense deficit`` on two n = 2, m = 20 tables, one of four colors in
 equal shares and one of sixteen random colors.  ``condense verify``
 runs with no ``--colors``, so every one of the 2^20 colors, exhaustive,
@@ -69,6 +69,20 @@ sampled and at ``--budget 1``, and with two of the colors that occur;
 columns.  None of them is wider than m = 20, so a checkout that builds
 an array with an entry per color still runs them in well under a
 second.
+
+The every-color points follow: ``condense verify`` without ``--colors``
+on an n = 6, m = 2 table (R = 8) and an n = 7, m = 3 table (R = 5),
+exhaustive at a raised ``--budget``, sampled, and at n = 6 once at the
+default budget, which refuses it.  With every color counted, each
+rectangle holds R^2 cells of A; a checkout may answer from the bound or
+build the all-ones grid and scan it, and both print the same line.
+
+The full-chunk points close the list: random ``table search`` runs at
+m = 1 and m = 2 whose trials run into the chunk that starts at trial
+341 or past it, so a draw of a whole chunk of the largest size is
+diffed: hits at trials 526 (n = 3, m = 1, in a chunk of 1024), 345 and
+528 (n = 4, m = 2, in chunks of 256), and misses over 1400 trials at
+n = 3, m = 1 and over 900 at n = 3, m = 2 (a chunk of 512).
 
 Example:
     python scripts/compare_checkouts.py ../parent .
@@ -194,6 +208,26 @@ WIDE_CONDENSE = [
     )] + [f"condense deficit --table z{k}.ktb", f"condense deficit --table z{k}.ktb --rows 0,3 --cols 1,2,3"]
 ]
 
+# (n, m, delta, seed) of the every-color condenser tables, random cells
+# (see the module docstring)
+EVERY_COLOR_TABLES = [(6, 2, 0.5, 0), (7, 3, 0.3, 1)]
+
+EVERY_COLOR = [
+    f"condense verify --table y{k}.ktb --delta {delta} --epsilon 0.25 --c 1{flags}"
+    for k, (_, _, delta, _) in enumerate(EVERY_COLOR_TABLES)
+    for flags in (f" --budget {10**20}", f" --mode sampled --trials 5 --seed {k}")
+] + ["condense verify --table y0.ktb --delta 0.5 --epsilon 0.25 --c 1"]
+
+# random table searches that draw a chunk of the largest size (see the
+# module docstring)
+FULL_CHUNKS = [
+    f"table search --n {n} --m {m} --S {S} --shift-bound {r} --trials {trials} --seed {seed} --out f{k}.ktb"
+    for k, (n, m, S, r, trials, seed) in enumerate([
+        (3, 1, 4, 3, 1400, 11), (4, 2, 12, 2, 400, 27), (4, 2, 12, 2, 600, 9),
+        (3, 1, 3, 2, 1400, 0), (3, 2, 5, 2, 900, 0),
+    ])
+]
+
 
 def _points() -> list:
     verify, search, condense, wide = [], [], [], []
@@ -217,7 +251,9 @@ def _points() -> list:
                  f"condense verify --table w{k}.ktb --delta 0.45 --epsilon 0.25 --c 1 --colors 1 --budget {10**11}"]
     wide.append(f"table search --n 5 --m 1 --S 5 --shift-bound 2 --trials 3 --seed 0 --budget {10**11} --out w.ktb")
     kinds = itertools.zip_longest(verify, search, condense, wide, FIELD, SCHEDULE, DIST)
-    return [line for line in itertools.chain.from_iterable(kinds) if line] + SEARCH_CHUNKS + SEED_WORDS + WIDE_COLORS + WIDE_CONDENSE
+    return [line for line in itertools.chain.from_iterable(kinds) if line] + (
+        SEARCH_CHUNKS + SEED_WORDS + WIDE_COLORS + WIDE_CONDENSE + EVERY_COLOR + FULL_CHUNKS
+    )
 
 
 POINTS = _points()
@@ -255,6 +291,9 @@ def _write_inputs() -> None:
         cells = [palette[i % len(palette)] for i in range(16)]
         random.Random(k).shuffle(cells)
         files[f"z{k}.ktb"] = _kxtb(2, 20, cells)
+    for k, (n, m, _, seed) in enumerate(EVERY_COLOR_TABLES):
+        cells = random.Random(seed)
+        files[f"y{k}.ktb"] = _kxtb(n, m, [cells.randrange(1 << m) for _ in range(1 << 2 * n)])
     # 2^17 lines of 15 bytes, so line 100000 is in the second TEXT_CHUNK
     lines = [f"{v:05x} 1/131072\n" for v in range(1 << 17)]
     big = "bits 17\n" + "".join(lines)

@@ -62,10 +62,10 @@ scans chunks of candidate tables that grow x4 from one table up to
 SCAN_BLOCK_ENTRIES cells (and one row subset's pair counts), so a chunk
 shares the fixed cost of each block and each check.
 ``_random_cells`` draws a chunk in one pass and gives the tables of
-per-trial generators keyed by (seed, t): ``_pools`` runs each step of
-numpy's SeedSequence entropy hash on the whole chunk at once, so does
-the pools' output hash, and one reused PCG64 takes each trial's state
-in turn and writes its raw words straight into the chunk's cells.  A check
+per-trial generators keyed by (seed, t): ``_seed_states`` runs each
+step of numpy's SeedSequence hash on the whole chunk at once, and each
+trial's PCG64 seeds itself from its row of those states and writes its
+raw words straight into the chunk's cells.  A check
 with more labels than its grids hold cells (wide colors, m up to 31)
 scans only the labels present, which ``_first_violation`` renumbers in
 order and maps back.
@@ -77,7 +77,6 @@ import functools
 import itertools
 import math
 import operator
-import secrets
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
@@ -107,13 +106,11 @@ IO_BLOCK_CELLS = 1 << 16
 MAX_M = 31
 
 # numpy's SeedSequence constants (the entropy hash's, its mix's and the
-# output hash's) and PCG64's 128-bit LCG multiplier, which NEP 19 keeps
-# stable across numpy versions.
+# output hash's), which NEP 19 keeps stable across numpy versions.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_MASK32 = (1 << 32) - 1
 
 # the pool words SeedSequence mixes each pool word into, in order
 _OTHER_WORDS = [np.array([d for d in range(4) if d != src]) for src in range(4)]
@@ -132,6 +129,17 @@ def check_dims(n: int, m: int) -> None:
         raise ParameterError(f"table needs 1 <= m <= {MAX_M}, got {m}")
 
 
+def check_int(name: str, value) -> int:
+    """value as a Python int (numpy integers too); a bool, a float or a
+    string is a ParameterError that names it."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ParameterError(f"{name} must be an int, got {type(value).__name__} {value!r}")
+
+
 @dataclass(eq=False)
 class Table:
     """An N x N grid of m-bit colors, immutable after construction.
@@ -148,15 +156,20 @@ class Table:
     def __post_init__(self):
         check_dims(self.n, self.m)
         N = 1 << self.n
-        cells = np.ascontiguousarray(self.cells, dtype=np.uint32)
+        cells = self.cells
+        if not isinstance(cells, np.ndarray):  # no cast yet, so no wrap and no truncation
+            cells = np.array(cells, dtype=object)
         if cells.shape == (N * N,):
             cells = cells.reshape(N, N)
         if cells.shape != (N, N):
-            raise ParameterError(
-                f"cells shape {self.cells.shape} does not match N={N}"
-            )
-        if cells.size and int(cells.max()) >= (1 << self.m):
+            raise ParameterError(f"cells shape {cells.shape} does not match N={N}")
+        if cells.dtype.kind not in "iu":  # Python ints pass; bools, floats and strings do not
+            cells = np.array([check_int("cell", v) for v in cells.flat], dtype=object).reshape(N, N)
+        if cells.dtype.kind != "u" and cells.min() < 0:
+            raise ParameterError(f"negative cell color {cells.min()}")
+        if int(cells.max()) >= (1 << self.m):
             raise ParameterError(f"cell color >= 2^{self.m}")
+        cells = np.ascontiguousarray(cells, dtype=np.uint32)
         cells.setflags(write=False)
         object.__setattr__(self, "cells", cells)
 
@@ -184,7 +197,7 @@ class Table:
     @classmethod
     def constant(cls, n, m, color, provenance="constructed(constant)"):
         N = 1 << n
-        return cls(n, m, np.full((N, N), color, dtype=np.uint32), provenance)
+        return cls(n, m, np.full((N, N), color), provenance)  # color's own dtype, checked as cells
 
 
 @dataclass(frozen=True)
@@ -452,17 +465,6 @@ def _marginal_bound(grid: np.ndarray, S: int) -> int:
     return int(rows.max())
 
 
-def _integer(name: str, value) -> int:
-    """value as a Python int (numpy integers too); a bool, a float or a
-    string is a ParameterError."""
-    try:
-        if not isinstance(value, bool):
-            return operator.index(value)
-    except TypeError:
-        pass
-    raise ParameterError(f"{name} must be an int, got {type(value).__name__} {value!r}")
-
-
 def check_mode(mode: str, trials: int, seed) -> tuple[int, Optional[int]]:
     """A check runs exhaustive or sampled; sampled (random) trials need a
     positive int count and a seed that is None or a nonnegative int,
@@ -472,12 +474,12 @@ def check_mode(mode: str, trials: int, seed) -> tuple[int, Optional[int]]:
         raise ParameterError(f"unknown mode {mode!r}")
     if mode != "sampled":
         return trials, seed
-    trials = _integer("trials", trials)
+    trials = check_int("trials", trials)
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     if seed is None:
         return trials, None
-    seed = _integer("seed", seed)
+    seed = check_int("seed", seed)
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
     return trials, seed
@@ -639,9 +641,9 @@ def _mix(pool: np.ndarray, word, h: np.ndarray, k: int) -> np.ndarray:
     return pool
 
 
-def _pools(seed: int, start: int, stop: int) -> np.ndarray:
-    """The (4, stop - start) uint32 words of ``np.random.SeedSequence([seed,
-    t]).pool`` for t in start..stop-1, column t - start.
+def _seed_states(seed: int, start: int, stop: int) -> np.ndarray:
+    """The (stop - start, 4) uint64 rows of ``np.random.SeedSequence([seed,
+    t]).generate_state(4, np.uint64)`` for t in start..stop-1.
 
     The entropy is seed's words, then t's (one word for 0): L words.
     Each step of numpy's ``mix_entropy`` runs on the whole chunk: pool
@@ -650,7 +652,10 @@ def _pools(seed: int, start: int, stop: int) -> np.ndarray:
     the fourth into all four.  The hashmixes take steps 0, 1, 2, ... of
     one constant chain, 16 + 4 * max(0, L - 4) in all, so the steps
     depend on L alone.  Between multiples of 2^32, t's first word runs on
-    and its other words are fixed, so the chunk splits there."""
+    and its other words are fixed, so the chunk splits there.  The
+    output hash runs over pool words 0-3 twice, with constants that run
+    on from word to word, and its eight 32-bit words become four 64-bit
+    ones as numpy converts them."""
     pools = np.empty((4, stop - start), np.uint32)
     low = start
     while low < stop:
@@ -670,40 +675,43 @@ def _pools(seed: int, start: int, stop: int) -> np.ndarray:
         for i in range(4, len(entropy)):
             _mix(pool, entropy[i], h, 4 * i)
         low = high
-    return pools
+    h = _hash_constants(_INIT_B, _MULT_B, 8)[:, 0]
+    words = np.concatenate((pools, pools)).T.copy()
+    words ^= h[:-1]
+    words *= h[1:]
+    words ^= words >> 16
+    return words.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedState:
+    """One row of ``_seed_states`` as the seed sequence a BitGenerator
+    takes: PCG64 asks for ``generate_state(4, np.uint64)`` alone, which
+    is the row.  ``_random_cells`` registers the class as numpy's
+    ``ISeedSequence`` when it draws, so ``import kextract.btable`` does
+    not load numpy.random."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.state
 
 
 def _random_cells(seed: int, start: int, stop: int, N: int, m: int) -> np.ndarray:
     """The (stop - start, N, N) uint32 cells of trials start..stop-1, row
     t equal to ``np.random.default_rng([seed, t]).integers(0, 2**m,
-    size=(N, N), dtype=np.uint32)``.  ``_pools`` hashes every trial's
-    SeedSequence pool at once; ``generate_state(4, np.uint64)`` hashes
-    pool words 0-3 twice over, with constants that run on from word to
-    word, so it too runs on the whole chunk at once.  PCG64 seeds itself
-    from those words with inc = 2 * initseq + 1 and two LCG steps from
-    state 0, adding initstate between them; one reused generator then
-    writes each trial's N*N/2 raw 64-bit words into its row of cells.
-    For a power-of-two range, ``integers``' Lemire path keeps the top m
-    bits of each 32-bit half, low half first, and never rejects."""
-    h = _hash_constants(_INIT_B, _MULT_B, 8)[:, 0]
-    pools = _pools(seed, start, stop)
-    words = np.concatenate((pools, pools)).T.copy()
-    words ^= h[:-1]
-    words *= h[1:]
-    words ^= words >> 16
-    seeds = words.astype("<u4", copy=False).view("<u8").tolist()
+    size=(N, N), dtype=np.uint32)``.  ``_seed_states`` hashes every
+    trial's seed state at once; each trial's PCG64 then seeds itself
+    from its row and writes its N*N/2 raw 64-bit words into its row of
+    cells.  For a power-of-two range, ``integers``' Lemire path keeps
+    the top m bits of each 32-bit half, low half first, and never
+    rejects."""
+    np.random.bit_generator.ISeedSequence.register(_SeedState)
     cells = np.empty((stop - start, N * N), "<u4")
-    bits = np.random.PCG64(0)  # every state is overwritten
-    for row, (s0, s1, i0, i1) in zip(cells.view("<u8"), seeds):
-        inc = (i0 << 65 | i1 << 1 | 1) & _MASK128
-        state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
-        bits.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        row[:] = bits.random_raw(N * N // 2)
+    for row, state in zip(cells.view("<u8"), _seed_states(seed, start, stop)):
+        row[:] = np.random.PCG64(_SeedState(state)).random_raw(N * N // 2)
     cells >>= 32 - m
     return cells.reshape(-1, N, N)
 
@@ -744,6 +752,8 @@ def search_table(
     if strategy == "random":
         trials, seed = check_mode("sampled", trials, seed)
         if seed is None:
+            import secrets  # only a seedless search draws one
+
             seed = secrets.randbits(63)
         total = trials
         draw = lambda start, stop: _random_cells(seed, start, stop, N, m)

@@ -27,7 +27,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import stats
-from .btable import Table, check_dims, check_mode, richest_rectangle, row_subsets
+from .btable import Table, check_dims, check_int, check_mode, richest_rectangle, row_subsets
 from .errors import ParameterError
 from .gf2n import field_params
 from .schedule import CondenseSchedule
@@ -69,16 +69,18 @@ def verify_balance(
     budget: Optional[int] = None,
 ) -> BalanceReport:
     """Check the A-colored cell bound on all rectangles with sides of
-    size exactly ceil(2^(delta*n)); larger rectangles follow by the
-    averaging argument.  A is ``colors``, or all M colors for None, with
-    no color set built and an all-ones indicator grid.  Both modes take
-    ``btable.richest_rectangle`` of the A-indicator grid, where
-    worst_ratio and the witness come from the first row subset that
-    reaches the largest count, with its richest columns.  Exhaustive
-    mode scans all row subsets in lexicographic order; sampled mode
-    ``trials`` random ones keyed by the seed, so its worst_ratio only
-    bounds the exhaustive one from below.  The budget
-    (``btable.row_subsets``) is met before the grid is built.
+    size exactly R = ceil(2^(delta*n)); larger rectangles follow by the
+    averaging argument.  A is ``colors``, ints only, or all M colors for
+    None.  Both modes take ``btable.richest_rectangle`` of the
+    A-indicator grid, where worst_ratio and the witness come from the
+    first row subset that reaches the largest count, with its richest
+    columns.  Exhaustive mode scans all row subsets in lexicographic
+    order; sampled mode ``trials`` random ones keyed by the seed, so its
+    worst_ratio only bounds the exhaustive one from below.  The budget
+    (``btable.row_subsets``) is met before the grid is built.  For None
+    every rectangle holds R^2 cells of A, and the bound is at least R^2,
+    so once the budget is met the answer is OK with worst_ratio R^2 /
+    bound, with no color set, grid or scan.
     """
     if not 0 < delta <= 1:  # NaN fails each of these tests
         raise ParameterError(f"delta={delta} must be in (0, 1]")
@@ -87,7 +89,7 @@ def verify_balance(
     if not c >= 1:
         raise ParameterError(f"c={c} must be >= 1")
     N, M = table.N, table.M
-    A = None if colors is None else sorted(set(colors))
+    A = None if colors is None else sorted(set(check_int("color", a) for a in colors))
     for a in A or ():
         if not 0 <= a < M:
             raise ParameterError(f"color {a} not in 0..{M - 1}")
@@ -97,10 +99,9 @@ def verify_balance(
     if bound == math.inf:  # no count reaches it: nothing to scan
         return BalanceReport(True, 0.0)
     rows = row_subsets(N, R, mode, trials, seed, budget, "colored-balance verification")
-    if A is None:
-        indicator = np.ones((N, N), dtype=np.int64)
-    else:
-        indicator = np.isin(table.cells, np.array(A, dtype=np.uint32)).astype(np.int64)
+    if A is None:  # every rectangle's count is R^2 <= bound
+        return BalanceReport(True, R * R / bound)
+    indicator = np.isin(table.cells, np.array(A, dtype=np.uint32)).astype(np.int64)
     best_count, best = richest_rectangle(indicator, R, rows)
     witness = best if best_count > bound else None
     return BalanceReport(witness is None, best_count / bound, witness)
@@ -158,8 +159,8 @@ def min_entropy_deficit(table: Table, rows: Sequence[int], cols: Sequence[int]) 
     Exact distribution over the colors that occur; 0 means the
     restricted output is as spread out as an m-bit string can be.
     """
-    rows = sorted(set(rows))
-    cols = sorted(set(cols))
+    rows = sorted(set(check_int("index", v) for v in rows))
+    cols = sorted(set(check_int("index", v) for v in cols))
     if not rows or not cols:
         raise ParameterError("rows and cols must be nonempty")
     for v in itertools.chain(rows, cols):

@@ -64,6 +64,40 @@ class TestTableType:
         with pytest.raises(ParameterError):
             Table(2, 1, cells)
 
+    @pytest.mark.parametrize("cells,message", [
+        (np.array([[2**32 + 1, 0], [0, 1]]), r"cell color >= 2\^2"),
+        ([[2**40, 0], [0, 1]], r"cell color >= 2\^2"),
+        ([[2**70, 0], [0, 1]], r"cell color >= 2\^2"),
+        (np.array([[-1, 0], [0, 1]]), "negative cell color -1"),
+        ([[-1, 0], [0, 1]], "negative cell color -1"),
+        (np.array([[0.7, 1.9], [0, 1]]), "cell must be an int, got float64"),
+        ([[0, 1.0], [0, 1]], "cell must be an int, got float 1.0"),
+        ([["1", 0], [0, 1]], "cell must be an int, got str '1'"),
+        (np.array([[True, False], [False, True]]), "cell must be an int, got bool"),
+        ([[0, 1], [True, 0]], "cell must be an int, got bool True"),
+    ])
+    def test_takes_only_int_colors(self, cells, message):
+        # checked before the uint32 cast, which would wrap, truncate or
+        # parse these, or overflow on them
+        with pytest.raises(ParameterError, match=message):
+            Table(1, 2, cells)
+
+    @pytest.mark.parametrize("color,message", [
+        (1.7, "cell must be an int, got float64"), (True, "cell must be an int, got bool"),
+        (-1, "negative cell color -1"), (4, r"cell color >= 2\^2"), (2**70, r"cell color >= 2\^2"),
+    ])
+    def test_constant_takes_only_int_colors(self, color, message):
+        with pytest.raises(ParameterError, match=message):
+            Table.constant(1, 2, color)
+        t = Table.constant(1, 2, np.uint8(3))
+        assert t.cells.dtype == np.uint32 and t.cells.tolist() == [[3, 3], [3, 3]]
+
+    def test_takes_any_int_dtype_and_python_ints(self):
+        want = np.array([[3, 0], [1, 2]], dtype=np.uint32)
+        for cells in ([[3, 0], [1, 2]], [3, 0, np.int8(1), np.uint64(2)], want.astype(np.int64), want.astype(np.uint8)):
+            got = Table(1, 2, cells).cells
+            assert got.dtype == np.uint32 and np.array_equal(got, want)
+
     def test_rejects_oversized_n(self):
         with pytest.raises(ResourceError):
             Table(13, 1, np.zeros(2, dtype=np.uint32))

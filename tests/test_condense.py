@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from kextract import btable, stats
+from kextract import btable, condense, stats
 from kextract.btable import DENSE_LIMIT_N, Table
 from kextract.condense import (
     BalanceReport,
@@ -136,6 +136,35 @@ class TestVerifyBalance:
     def test_bad_color_rejected(self):
         with pytest.raises(ParameterError):
             verify_balance(random_table(2, 1, 0), 0.5, 0.5, 1, [2])
+
+    @pytest.mark.parametrize("colors,shown", [([1.5], "float 1.5"), ([0, True], "bool True"), (["1"], "str '1'")])
+    def test_colors_must_be_ints(self, colors, shown):
+        # checked before the set, where True and 1.5 would count color 1
+        with pytest.raises(ParameterError, match=f"color must be an int, got {shown}"):
+            verify_balance(random_table(2, 1, 0), 0.5, 0.5, 1, colors)
+
+    def test_colors_take_numpy_integers(self):
+        t = random_table(3, 2, 0)
+        got = verify_balance(t, 2 / 3, 0.25, 1, [np.int64(1), np.uint8(3)])
+        assert got == verify_balance(t, 2 / 3, 0.25, 1, [1, 3])
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_every_color_answers_from_its_bound(self, monkeypatch, mode):
+        # every R x R rectangle holds R^2 cells of all M colors, and the
+        # bound is at least R^2, so no grid is scanned; the budget still
+        # refuses first
+        t = random_table(4, 2, 3)
+        want = verify_balance(t, 0.5, 0.25, 1, range(4), mode, trials=5, seed=1)
+        bound = color_bound_fraction(4, 4, 0.5, 0.25, 1) * 16
+
+        def scanned(*args):
+            raise AssertionError("scanned a grid")
+
+        monkeypatch.setattr(condense, "richest_rectangle", scanned)
+        got = verify_balance(t, 0.5, 0.25, 1, None, mode, trials=5, seed=1)
+        assert got == want == BalanceReport(True, 16 / bound)
+        with pytest.raises(ResourceError, match="over budget 1"):
+            verify_balance(t, 0.5, 0.25, 1, None, budget=1)
 
     def test_threshold_side_too_large(self):
         with pytest.raises(ParameterError):
@@ -414,6 +443,19 @@ class TestMinEntropyDeficit:
         t = standin_table(2, 1)
         with pytest.raises(ParameterError):
             min_entropy_deficit(t, [4], range(4))
+
+    @pytest.mark.parametrize(
+        "rows,cols,shown", [([1.5], range(4), "float 1.5"), (["1"], range(4), "str '1'"), ([1], [0, True], "bool True")]
+    )
+    def test_indices_must_be_ints(self, rows, cols, shown):
+        t = standin_table(2, 1)
+        with pytest.raises(ParameterError, match=f"index must be an int, got {shown}"):
+            min_entropy_deficit(t, rows, cols)
+
+    def test_indices_take_numpy_integers(self):
+        t = standin_table(3, 2)
+        got = min_entropy_deficit(t, np.arange(1, 5), [np.uint8(2), np.int64(7)])
+        assert got == min_entropy_deficit(t, [1, 2, 3, 4], [2, 7])
 
     @pytest.mark.parametrize("seed", range(4))
     def test_deficit_bounds_singleton_probabilities(self, seed):

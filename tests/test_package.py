@@ -87,6 +87,21 @@ def test_cli_reads_no_private_kextract_name():
     assert modules >= {"btable", "stats"} and not private
 
 
+def test_imports_load_neither_secrets_nor_numpy_random():
+    # only a seedless search draws a seed, and only a draw or a sampled
+    # check needs numpy.random, so neither is paid for on import
+    code = (
+        "import sys\n"
+        "import kextract.cli, kextract.btable, kextract.condense, kextract.stats\n"
+        "print('secrets' in sys.modules, 'numpy.random' in sys.modules, 'numpy' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert proc.stdout == "False False True\n"
+
+
 def test_schedule_imports_no_numpy():
     # the standard library, mpmath and errors only: a kextract module
     # such as btable would bring numpy in with it
